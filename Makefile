@@ -1,4 +1,4 @@
-.PHONY: all build test check bench bench-dbt bench-merge bench-staticrace \
+.PHONY: all build test check bench bench-merge bench-staticrace \
   bench-resume bench-dist clean
 
 all: build
@@ -12,13 +12,10 @@ test:
 # Tier-1 verification plus smoke tests: a quick shared-frontier run on
 # two drivers (work stealing + shared query cache end to end), a quick
 # chaos run (injected worker crashes / solver exhaustions / memory
-# pressure must leave the bug sets unchanged), a quick incremental-
-# session run (bug sets must match the from-scratch pipeline, plus the
-# clause-retention microbench), a quick DBT parity run (compiled blocks
-# on/off must report identical bug sets, with and without chaos), a
-# quick state-merging parity run (fusing states at post-dominators must
-# leave the bug sets unchanged while collapsing the deep-loop driver's
-# frontier), a quick static-race run (lockset/IRQL + race rules fire on
+# pressure must leave the bug sets unchanged), a quick state-merging
+# parity run (fusing states at post-dominators must leave the bug sets
+# unchanged while collapsing the deep-loop driver's frontier), a quick
+# static-race run (lockset/IRQL + race rules fire on
 # the seeded corpus, are false-positive-free on every fixed variant, and
 # at least one race warning is confirmed by directed symbolic
 # execution), the
@@ -37,8 +34,6 @@ test:
 check: build test
 	dune exec bench/main.exe -- parallel --quick
 	dune exec bench/main.exe -- chaos --quick
-	dune exec bench/main.exe -- incr --quick
-	dune exec bench/main.exe -- dbt --quick
 	dune exec bench/main.exe -- merge --quick
 	dune exec bench/main.exe -- staticrace --quick
 	dune exec bench/main.exe -- resume --quick
@@ -113,11 +108,6 @@ bench-dist:
 
 bench:
 	dune exec bench/main.exe
-
-# Full DBT experiment: concrete throughput vs the interpreter plus bug-
-# report parity on all six drivers (± chaos); writes BENCH_dbt.json.
-bench-dbt:
-	dune exec bench/main.exe -- dbt --json
 
 # Full state-merging experiment: frontier sizes and bug-report parity
 # with merging off vs on across the corpus (± chaos), including the

@@ -894,438 +894,6 @@ let chaos_bench () =
     Printf.printf "wrote BENCH_chaos.json\n"
   end
 
-(* --- incremental solver sessions -------------------------------------------------- *)
-
-type incr_row = {
-  ir_driver : string;
-  ir_off : Ddt_solver.Solver.stats;
-  ir_off_wall : float;
-  ir_off_bugs : string list;
-  ir_on : Ddt_solver.Solver.stats;
-  ir_on_wall : float;
-  ir_on_bugs : string list;
-}
-
-let write_incr_json rows ~micro_wall_scratch ~micro_wall_incr ~micro_retained
-    ~micro_verdicts_agree path =
-  let module Sv = Ddt_solver.Solver in
-  let oc = open_out path in
-  let pr fmt = Printf.fprintf oc fmt in
-  let leg (s : Sv.stats) wall bugs =
-    Printf.sprintf
-      "{\"queries\": %d, \"group_solves\": %d, \"bitblast_solves\": %d, \
-       \"incr_queries\": %d, \"incr_model_hits\": %d, \
-       \"incr_sat_solves\": %d, \"incr_learned_retained\": %d, \
-       \"incr_frames_reused\": %d, \"incr_pushes\": %d, \"incr_pops\": %d, \
-       \"incr_rebuilds\": %d, \"wall_s\": %.4f, \"bugs\": %d}"
-      s.Sv.s_queries s.Sv.s_group_solves s.Sv.s_bitblast_solves
-      s.Sv.s_incr_queries s.Sv.s_incr_model_hits s.Sv.s_incr_sat_solves
-      s.Sv.s_incr_learned_retained s.Sv.s_incr_skipped_recanon
-      s.Sv.s_incr_pushes s.Sv.s_incr_pops s.Sv.s_incr_rebuilds wall
-      (List.length bugs)
-  in
-  pr "{\n  \"experiment\": \"incr\",\n";
-  pr
-    "  \"note\": \"per-state incremental solver sessions (push/pop + \
-     activation literals + retained learned clauses) vs the from-scratch \
-     pipeline; pr1 baseline for the same corpus was 15743 bit-blasts / \
-     ~26.1s solver wall\",\n";
-  pr "  \"drivers\": [\n";
-  List.iteri
-    (fun i r ->
-      pr
-        "    {\"driver\": %S,\n     \"scratch\": %s,\n     \"incremental\": \
-         %s,\n     \"speedup\": %.3f,\n     \"bugs_match\": %b}%s\n"
-        r.ir_driver
-        (leg r.ir_off r.ir_off_wall r.ir_off_bugs)
-        (leg r.ir_on r.ir_on_wall r.ir_on_bugs)
-        (if r.ir_on_wall > 0.0 then r.ir_off_wall /. r.ir_on_wall else 1.0)
-        (r.ir_off_bugs = r.ir_on_bugs)
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  pr "  ],\n";
-  pr
-    "  \"session_microbench\": {\"scratch_wall_s\": %.4f, \
-     \"incremental_wall_s\": %.4f, \"learned_clauses_retained\": %d, \
-     \"verdicts_agree\": %b}\n"
-    micro_wall_scratch micro_wall_incr micro_retained micro_verdicts_agree;
-  pr "}\n";
-  close_out oc
-
-(* Repeated queries down one deepening path whose constraints only yield
-   to bit-blasting (multiplication circuits): the worst case for the
-   from-scratch pipeline and the best case for a session, which re-blasts
-   nothing and carries its learned clauses from query to query. Returns
-   (scratch wall, incremental wall, learned clauses retained, verdict
-   parity). *)
-let incr_session_micro () =
-  let open Ddt_solver in
-  let module Sv = Solver in
-  let x = Expr.fresh_var Expr.W32 and y = Expr.fresh_var Expr.W32 in
-  let product = Expr.binop Expr.Mul (Expr.var x) (Expr.var y) in
-  (* Bounded factoring: x * y = c with 1 < x, y < 256 — opaque to the
-     interval layer, and each query is a genuine conflict-driven search
-     through the same multiplier circuit, so the session's retained
-     clauses pay off query after query. Products are composites with no
-     small pattern; each answered query excludes its product from the
-     path (a concretize-then-negate loop, as the engine would). *)
-  let composites =
-    [ 143; 187; 209; 221; 247; 253; 299; 323; 391; 437; 493; 527;
-      551; 589; 667; 713; 779; 817; 851; 899; 943; 989; 1003; 1073 ]
-  in
-  let bounds =
-    [ Expr.cmp Expr.Ltu (Expr.var y) (Expr.word 256);
-      Expr.cmp Expr.Ltu (Expr.var x) (Expr.word 256);
-      Expr.cmp Expr.Ltu (Expr.word 1) (Expr.var x);
-      Expr.cmp Expr.Ltu (Expr.word 1) (Expr.var y) ]
-  in
-  (* newest-first prefixes sharing tails physically, like a real path
-     condition deepening one branch at a time *)
-  let prefixes =
-    List.rev
-      (snd
-         (List.fold_left
-            (fun (cs, acc) c ->
-              let cs' =
-                Expr.not_ (Expr.cmp Expr.Eq product (Expr.word c)) :: cs
-              in
-              (cs', cs :: acc))
-            (bounds, []) composites))
-  in
-  (* Odd queries probe a prime instead: x * y = p with 1 < x, y < 256 has
-     no model, and refuting it is exactly the conflict-rich search where
-     clauses retained from earlier queries prune the most. *)
-  let primes =
-    [ 149; 191; 211; 223; 251; 257; 307; 331; 397; 439; 499; 521;
-      557; 587; 661; 719; 773; 811; 853; 907; 941; 991; 1009; 1069 ]
-  in
-  let probe k =
-    let v =
-      if k land 1 = 0 then List.nth composites k else List.nth primes k
-    in
-    Expr.cmp Expr.Eq product (Expr.word v)
-  in
-  (* scratch leg: every query re-blasts its whole constraint set *)
-  Sv.clear_cache ();
-  let t0 = Unix.gettimeofday () in
-  let scratch_verdicts =
-    List.mapi (fun k cs -> Sv.is_feasible (probe k :: cs)) prefixes
-  in
-  let scratch_wall = Unix.gettimeofday () -. t0 in
-  (* incremental leg: one session follows the same deepening path *)
-  Sv.clear_cache ();
-  let s0 = Sv.stats () in
-  let sess = Incr.create () in
-  let t0 = Unix.gettimeofday () in
-  let incr_verdicts =
-    List.mapi (fun k cs -> Incr.feasible sess cs (probe k)) prefixes
-  in
-  let incr_wall = Unix.gettimeofday () -. t0 in
-  let d = Sv.diff_stats (Sv.stats ()) s0 in
-  (scratch_wall, incr_wall, d.Sv.s_incr_learned_retained,
-   scratch_verdicts = incr_verdicts)
-
-let incr_bench () =
-  section
-    (if !quick_mode then
-       "Incremental solver sessions smoke test (--quick): 2 drivers, tight \
-        budgets, session microbench"
-     else
-       "Incremental solver sessions: per-state push/pop + retained learned \
-        clauses vs the from-scratch pipeline (identical bug reports \
-        required)");
-  let module Sv = Ddt_solver.Solver in
-  let drivers =
-    if !quick_mode then [ "rtl8029"; "pcnet" ]
-    else List.map (fun e -> e.Corpus.short) Corpus.all
-  in
-  let bug_keys (r : Session.result) =
-    List.map (fun b -> b.Report.b_key) r.Session.r_bugs
-    |> List.sort_uniq compare
-  in
-  let run_with incr short =
-    let cfg = Corpus.config (Corpus.find short) in
-    let cfg =
-      if !quick_mode then
-        { cfg with Config.max_total_steps = 60_000; plateau_steps = 50_000 }
-      else cfg
-    in
-    let cfg =
-      { cfg with
-        Config.exec_config =
-          { cfg.Config.exec_config with Exec.solver_incr = incr } }
-    in
-    Sv.clear_cache ();
-    let s0 = Sv.stats () in
-    let t0 = Unix.gettimeofday () in
-    let r = Ddt_core.Ddt.test_driver cfg in
-    let wall = Unix.gettimeofday () -. t0 in
-    (Sv.diff_stats (Sv.stats ()) s0, wall, bug_keys r)
-  in
-  Printf.printf "%-16s %8s %8s %9s %9s %8s %8s %8s %5s\n" "Driver" "bb-off"
-    "bb-on" "sess-q" "reused" "wall-off" "wall-on" "rebuilds" "same";
-  let rows =
-    List.map
-      (fun short ->
-        let off, toff, koff = run_with false short in
-        let on, ton, kon = run_with true short in
-        Printf.printf "%-16s %8d %8d %9d %9d %7.2fs %7.2fs %8d %5s\n" short
-          off.Sv.s_bitblast_solves on.Sv.s_bitblast_solves
-          on.Sv.s_incr_queries on.Sv.s_incr_skipped_recanon toff ton
-          on.Sv.s_incr_rebuilds
-          (if koff = kon then "yes" else "NO");
-        { ir_driver = short; ir_off = off; ir_off_wall = toff;
-          ir_off_bugs = koff; ir_on = on; ir_on_wall = ton;
-          ir_on_bugs = kon })
-      drivers
-  in
-  let sum f = List.fold_left (fun acc r -> acc + f r) 0 rows in
-  let sumf f = List.fold_left (fun acc r -> acc +. f r) 0.0 rows in
-  let mw_scratch, mw_incr, m_retained, m_agree = incr_session_micro () in
-  Printf.printf
-    "\ntotals: bit-blasts %d -> %d | session queries %d (%d model hits) | \
-     frames reused %d | wall %.2fs -> %.2fs | bug reports identical on \
-     %d/%d drivers\n"
-    (sum (fun r -> r.ir_off.Sv.s_bitblast_solves))
-    (sum (fun r -> r.ir_on.Sv.s_bitblast_solves))
-    (sum (fun r -> r.ir_on.Sv.s_incr_queries))
-    (sum (fun r -> r.ir_on.Sv.s_incr_model_hits))
-    (sum (fun r -> r.ir_on.Sv.s_incr_skipped_recanon))
-    (sumf (fun r -> r.ir_off_wall))
-    (sumf (fun r -> r.ir_on_wall))
-    (List.length (List.filter (fun r -> r.ir_off_bugs = r.ir_on_bugs) rows))
-    (List.length rows);
-  Printf.printf
-    "session microbench (24 deepening bounded-factoring queries): scratch \
-     %.3fs -> session %.3fs | %d learned clauses retained | verdicts %s\n"
-    mw_scratch mw_incr m_retained
-    (if m_agree then "agree" else "DISAGREE");
-  if !json_mode then begin
-    write_incr_json rows ~micro_wall_scratch:mw_scratch
-      ~micro_wall_incr:mw_incr ~micro_retained:m_retained
-      ~micro_verdicts_agree:m_agree "BENCH_incr.json";
-    Printf.printf "wrote BENCH_incr.json\n"
-  end
-
-(* --- DBT block compilation -------------------------------------------------------- *)
-
-type dbt_micro_row = {
-  dm_name : string;
-  dm_interp_sps : float; (* interpreted steps/second *)
-  dm_dbt_sps : float;    (* compiled steps/second *)
-}
-
-type dbt_row = {
-  dr_driver : string;
-  dr_off_wall : float;
-  dr_off_bugs : string list;
-  dr_on_wall : float;
-  dr_on_bugs : string list;
-  dr_chaos_match : bool; (* chaos legs report identical bugs dbt on/off *)
-  dr_stats : Exec.stats; (* from the dbt-on leg *)
-}
-
-(* Concrete-execution throughput: run a program to completion repeatedly
-   for a fixed wall-time slice through the plain interpreter and through
-   compiled superblocks, and report instructions/second for each. *)
-let dbt_measure_concrete name img =
-  let open Ddt_dvm in
-  let execute use_dbt =
-    let mem = Mem.create () in
-    let loaded = Image.load img mem ~base:Layout.image_base in
-    let env = Interp.create ~fuel:50_000_000 ~image:loaded mem in
-    Cpu.set env.Interp.cpu Isa.sp Layout.stack_top;
-    let addr = loaded.Image.base + img.Image.entry in
-    (if use_dbt then begin
-       let d = Dbt.create ~threshold:0 loaded in
-       Dbt.compile_all d;
-       ignore (Dbt.call_function d env ~addr ~args:[])
-     end
-     else ignore (Interp.call_function env ~addr ~args:[]));
-    env.Interp.steps
-  in
-  let throughput use_dbt =
-    ignore (execute use_dbt);
-    (* warmup *)
-    let slice = if !quick_mode then 0.2 else 0.6 in
-    let t0 = Unix.gettimeofday () in
-    let steps = ref 0 in
-    while Unix.gettimeofday () -. t0 < slice do
-      steps := !steps + execute use_dbt
-    done;
-    float_of_int !steps /. (Unix.gettimeofday () -. t0)
-  in
-  let interp_sps = throughput false in
-  let dbt_sps = throughput true in
-  Printf.printf "%-34s %12.0f %12.0f %7.1fx\n" name interp_sps dbt_sps
-    (dbt_sps /. interp_sps);
-  { dm_name = name; dm_interp_sps = interp_sps; dm_dbt_sps = dbt_sps }
-
-(* The compiled path's best case and per-instruction dispatch's worst:
-   a long unrolled ALU block in a tight loop, all operands in registers,
-   so the whole loop body chains into one superblock. *)
-let dbt_alu_image () =
-  let unrolled =
-    String.concat "\n        "
-      (List.init 24 (fun i ->
-           let r a = 2 + (a mod 6) in
-           Printf.sprintf "add r%d, r%d, r%d" (r i) (r (i + 1)) (r (i + 2))))
-  in
-  Ddt_dvm.Asm.assemble ~name:"alu-loop"
-    (Printf.sprintf {|
-      .entry main
-      .func main
-      main:
-        movi r1, 2000
-        movi r2, 1
-        movi r3, 2
-        movi r4, 3
-        movi r5, 5
-        movi r6, 7
-        movi r7, 11
-      loop:
-        jz r1, done
-        %s
-        sub r1, r1, 1
-        jmp loop
-      done:
-        ret
-    |} unrolled)
-
-let dbt_minicc_image () =
-  Ddt_minicc.Codegen.compile ~name:"minicc-loop" {|
-    int driver_entry(void) {
-      int acc = 0;
-      int i;
-      for (i = 0; i < 2000; i = i + 1) { acc = acc + i * 3; }
-      return acc;
-    }
-  |}
-
-let write_dbt_json micros rows path =
-  let oc = open_out path in
-  let pr fmt = Printf.fprintf oc fmt in
-  pr "{\n  \"experiment\": \"dbt\",\n";
-  pr
-    "  \"note\": \"hot-block compilation to OCaml closures: concrete \
-     throughput interpreter vs compiled superblocks, and full-session \
-     bug-report parity with the guarded symbolic fast path on and \
-     off\",\n";
-  pr "  \"concrete_throughput\": [\n";
-  List.iteri
-    (fun i m ->
-      pr
-        "    {\"name\": %S, \"interp_steps_per_s\": %.0f, \
-         \"dbt_steps_per_s\": %.0f, \"speedup\": %.2f}%s\n"
-        m.dm_name m.dm_interp_sps m.dm_dbt_sps
-        (m.dm_dbt_sps /. m.dm_interp_sps)
-        (if i = List.length micros - 1 then "" else ","))
-    micros;
-  pr "  ],\n";
-  pr "  \"drivers\": [\n";
-  List.iteri
-    (fun i r ->
-      pr
-        "    {\"driver\": %S, \"wall_off_s\": %.4f, \"wall_on_s\": %.4f, \
-         \"bugs_off\": %d, \"bugs_on\": %d, \"bugs_match\": %b, \
-         \"chaos_bugs_match\": %b, \"blocks_compiled\": %d, \
-         \"superblocks_chained\": %d, \"guard_bails\": %d, \
-         \"decompiled\": %d, \"compiled_steps\": %d, \"total_steps\": %d}%s\n"
-        r.dr_driver r.dr_off_wall r.dr_on_wall
-        (List.length r.dr_off_bugs)
-        (List.length r.dr_on_bugs)
-        (r.dr_off_bugs = r.dr_on_bugs)
-        r.dr_chaos_match r.dr_stats.Exec.st_dbt_blocks
-        r.dr_stats.Exec.st_dbt_superblocks r.dr_stats.Exec.st_dbt_guard_bails
-        r.dr_stats.Exec.st_dbt_decompiled
-        r.dr_stats.Exec.st_dbt_compiled_steps r.dr_stats.Exec.st_total_steps
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  pr "  ]\n}\n";
-  close_out oc
-
-let dbt_bench () =
-  section
-    (if !quick_mode then
-       "DBT block compilation smoke test (--quick): throughput + parity \
-        on 2 drivers"
-     else
-       "DBT block compilation: hot blocks as OCaml closures — concrete \
-        throughput vs the interpreter, and full-corpus bug-report parity \
-        (plain and under chaos)");
-  Printf.printf "%-34s %12s %12s %8s\n" "Concrete throughput" "interp/s"
-    "dbt/s" "speedup";
-  let micros =
-    [ dbt_measure_concrete "alu loop (24-instr superblock)" (dbt_alu_image ());
-      dbt_measure_concrete "minicc compiled function" (dbt_minicc_image ()) ]
-  in
-  let drivers =
-    if !quick_mode then [ "rtl8029"; "pcnet" ]
-    else List.map (fun e -> e.Corpus.short) Corpus.all
-  in
-  let bug_keys (r : Session.result) =
-    List.map (fun b -> b.Report.b_key) r.Session.r_bugs
-    |> List.sort_uniq compare
-  in
-  let run_with ?chaos dbt short =
-    let cfg = Corpus.config (Corpus.find short) in
-    let cfg =
-      if !quick_mode then
-        { cfg with Config.max_total_steps = 60_000; plateau_steps = 50_000 }
-      else
-        { cfg with Config.max_total_steps = 150_000; plateau_steps = 100_000 }
-    in
-    let cfg =
-      { cfg with
-        Config.exec_config =
-          { cfg.Config.exec_config with Exec.jobs = 1; dbt; chaos } }
-    in
-    Ddt_solver.Solver.clear_cache ();
-    let t0 = Unix.gettimeofday () in
-    let r = Session.run cfg in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  Printf.printf "\n%-16s %9s %9s %7s %7s %6s %9s %5s %5s\n" "Driver"
-    "wall-off" "wall-on" "blocks" "chained" "bails" "comp-frac" "same"
-    "chaos";
-  let chaos_spec =
-    { Ddt_symexec.Guard.chaos_worker_crash_period = 25;
-      chaos_solver_exhaust_period = 3; chaos_pressure_words = 50_000_000 }
-  in
-  let rows =
-    List.map
-      (fun short ->
-        let roff, toff = run_with false short in
-        let ron, ton = run_with true short in
-        let coff, _ = run_with ~chaos:chaos_spec false short in
-        let con, _ = run_with ~chaos:chaos_spec true short in
-        let st = ron.Session.r_stats in
-        let frac =
-          float_of_int st.Exec.st_dbt_compiled_steps
-          /. float_of_int (max 1 st.Exec.st_total_steps)
-        in
-        Printf.printf "%-16s %8.2fs %8.2fs %7d %7d %6d %8.0f%% %5s %5s\n"
-          short toff ton st.Exec.st_dbt_blocks st.Exec.st_dbt_superblocks
-          st.Exec.st_dbt_guard_bails (100.0 *. frac)
-          (if bug_keys roff = bug_keys ron then "yes" else "NO")
-          (if bug_keys coff = bug_keys con then "yes" else "NO");
-        { dr_driver = short; dr_off_wall = toff; dr_off_bugs = bug_keys roff;
-          dr_on_wall = ton; dr_on_bugs = bug_keys ron;
-          dr_chaos_match = bug_keys coff = bug_keys con; dr_stats = st })
-      drivers
-  in
-  let same =
-    List.length (List.filter (fun r -> r.dr_off_bugs = r.dr_on_bugs) rows)
-  in
-  let chaos_same = List.length (List.filter (fun r -> r.dr_chaos_match) rows) in
-  Printf.printf
-    "\ntotals: bug reports identical on %d/%d drivers (%d/%d under chaos)\n"
-    same (List.length rows) chaos_same (List.length rows);
-  if !json_mode then begin
-    write_dbt_json micros rows "BENCH_dbt.json";
-    Printf.printf "wrote BENCH_dbt.json\n"
-  end
-
 (* --- state merging at post-dominators ------------------------------------------- *)
 
 type merge_row = {
@@ -2097,8 +1665,8 @@ let all_experiments =
     ("stress", stress); ("sdv", sdv); ("synthetic", synthetic);
     ("ablation", ablation); ("sched", sched); ("parallel", parallel);
     ("memory", memory); ("solver", solver_bench); ("static", static_bench);
-    ("chaos", chaos_bench); ("incr", incr_bench); ("dbt", dbt_bench);
-    ("merge", merge_bench); ("staticrace", staticrace_bench);
+    ("chaos", chaos_bench); ("merge", merge_bench);
+    ("staticrace", staticrace_bench);
     ("resume", resume_bench); ("dist", dist_bench); ("micro", micro) ]
 
 let () =

@@ -75,11 +75,11 @@ val make :
   ?jobs:int ->
   ?static_guidance:bool ->
   ?solver_incr:bool ->
-  (** override [exec_config.solver_incr]: per-state incremental solver
-      sessions (see {!Ddt_symexec.Exec.config}) *)
+  (** Accepted and ignored. Only the benchmark harness passes it; a
+      later benchmark change removes it. *)
   ?dbt:bool ->
-  (** override [exec_config.dbt]: guarded block compilation (see
-      {!Ddt_symexec.Exec.config}) *)
+  (** Accepted and ignored. Only the benchmark harness passes it; a
+      later benchmark change removes it. *)
   ?state_merging:bool ->
   (** override [exec_config.state_merging]: fuse sibling states at
       branch post-dominators (see {!Ddt_symexec.Exec.config}) *)

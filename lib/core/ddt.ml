@@ -55,18 +55,6 @@ let pp_report fmt (r : Session.result) =
       "governor: %d state(s) concretized and retired under resource \
        pressure (%d trip(s))@."
       stats.Ddt_symexec.Exec.st_soft_retired r.Session.r_governor_trips;
-  if stats.Ddt_symexec.Exec.st_dbt_blocks > 0 then begin
-    let compiled = stats.Ddt_symexec.Exec.st_dbt_compiled_steps in
-    let total = max 1 stats.Ddt_symexec.Exec.st_total_steps in
-    Format.fprintf fmt
-      "dbt: %d superblock(s) compiled (%d chained), %d guard bailout(s), \
-       %d de-compiled, %.0f%% of steps compiled@."
-      stats.Ddt_symexec.Exec.st_dbt_blocks
-      stats.Ddt_symexec.Exec.st_dbt_superblocks
-      stats.Ddt_symexec.Exec.st_dbt_guard_bails
-      stats.Ddt_symexec.Exec.st_dbt_decompiled
-      (100.0 *. float_of_int compiled /. float_of_int total)
-  end;
   if stats.Ddt_symexec.Exec.st_merged_states > 0
      || stats.Ddt_symexec.Exec.st_merge_refusals > 0
   then
@@ -88,17 +76,6 @@ let pp_report fmt (r : Session.result) =
       "solver store: %d hit(s) on entries loaded from the persistent \
        store@."
       sv.Ddt_solver.Solver.s_cache_persist_hits;
-  if sv.Ddt_solver.Solver.s_incr_queries > 0 then
-    Format.fprintf fmt
-      "solver sessions: %d incremental queries (%d model hits, %d SAT \
-       solves), %d frames reused, %d learned clauses retained, %d \
-       rebuilds@."
-      sv.Ddt_solver.Solver.s_incr_queries
-      sv.Ddt_solver.Solver.s_incr_model_hits
-      sv.Ddt_solver.Solver.s_incr_sat_solves
-      sv.Ddt_solver.Solver.s_incr_skipped_recanon
-      sv.Ddt_solver.Solver.s_incr_learned_retained
-      sv.Ddt_solver.Solver.s_incr_rebuilds;
   if sv.Ddt_solver.Solver.s_exhaustions > 0 then
     Format.fprintf fmt
       "solver retries: %d budget exhaustion(s), %d escalated retries, %d \

@@ -294,17 +294,16 @@ let setup ?(store_index_subsets = true) (cfg : Config.t) =
 
 (* {2 Checkpointing} *)
 
-let checkpoint_version = 1
+let checkpoint_version = 2
 
 (* A checkpoint is one self-contained marshal image of every piece of
-   session progress: the engine image (queues, merge pool, guard, DBT
-   dispositions, counters), the surviving phase bases, the report sink,
-   the session refs, the expression-variable counter, and the full query
-   cache. One blob means [Marshal] preserves every physical-sharing
-   relationship (sibling constraint tails, cache-entry aliasing) that
-   the live heap had. Derived structures — incremental solver sessions,
-   compiled DBT closures, dedup tables — are deliberately absent: they
-   are caches, rebuilt from scratch on restore. *)
+   session progress: the engine image (queues, merge pool, guard,
+   counters), the surviving phase bases, the report sink, the session
+   refs, the expression-variable counter, and the full query cache. One
+   blob means [Marshal] preserves every physical-sharing relationship
+   (sibling constraint tails, cache-entry aliasing) that the live heap
+   had. Derived structures such as dedup tables are deliberately absent:
+   they are caches, rebuilt from scratch on restore. *)
 type checkpoint = {
   ck_version : int;
   ck_driver : string;
@@ -541,15 +540,23 @@ let run (cfg : Config.t) =
 
 (* {2 Resume} *)
 
+(* The version is read off the untyped decoded value before the blob is
+   trusted as a [checkpoint]: another version has another record layout,
+   and reading it at this one's type would be unsound. *)
 let read_checkpoint path : (checkpoint, string) Stdlib.result =
   match Blob.read_file path with
   | Error e -> Error e
-  | Ok (ck : checkpoint) ->
-      if ck.ck_version <> checkpoint_version then
-        Error
-          (Printf.sprintf "checkpoint version %d, expected %d" ck.ck_version
-             checkpoint_version)
-      else Ok ck
+  | Ok (raw : Obj.t) ->
+      let field0 = Obj.is_block raw && Obj.tag raw = 0 && Obj.size raw > 0 in
+      if not (field0 && Obj.is_int (Obj.field raw 0)) then
+        Error "not a checkpoint"
+      else
+        let version : int = Obj.obj (Obj.field raw 0) in
+        if version <> checkpoint_version then
+          Error
+            (Printf.sprintf "checkpoint version %d, expected %d" version
+               checkpoint_version)
+        else Ok (Obj.obj raw : checkpoint)
 
 let checkpoint_driver path =
   Result.map (fun ck -> ck.ck_driver) (read_checkpoint path)
@@ -829,14 +836,9 @@ module Dist = struct
           a.Exec.st_worker_restarts + b.Exec.st_worker_restarts;
         st_soft_retired = a.Exec.st_soft_retired + b.Exec.st_soft_retired;
         st_solver = add_solver a.Exec.st_solver b.Exec.st_solver;
-        st_dbt_blocks = a.Exec.st_dbt_blocks + b.Exec.st_dbt_blocks;
-        st_dbt_superblocks =
-          a.Exec.st_dbt_superblocks + b.Exec.st_dbt_superblocks;
-        st_dbt_guard_bails =
-          a.Exec.st_dbt_guard_bails + b.Exec.st_dbt_guard_bails;
-        st_dbt_decompiled = a.Exec.st_dbt_decompiled + b.Exec.st_dbt_decompiled;
-        st_dbt_compiled_steps =
-          a.Exec.st_dbt_compiled_steps + b.Exec.st_dbt_compiled_steps;
+        st_dbt_guard_bails = 0;
+        st_dbt_decompiled = 0;
+        st_dbt_compiled_steps = 0;
         st_merged_states = a.Exec.st_merged_states + b.Exec.st_merged_states;
         st_merge_ites = a.Exec.st_merge_ites + b.Exec.st_merge_ites;
         st_merge_forks_avoided =

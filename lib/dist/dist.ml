@@ -310,6 +310,9 @@ let run ?(workers = 2) ?kill_worker (cfg : Config.t) =
           end
           else begin
             dispatch ();
+            (* A failed send in [dispatch] marks its worker dead and
+               closes its pipes, so select only over the survivors. *)
+            let alive = List.filter (fun w -> w.w_alive) ws in
             let fds = List.map (fun w -> Proto.fd_in w.w_conn) alive in
             (match Unix.select fds [] [] 0.25 with
              | readable, _, _ ->

@@ -30,16 +30,9 @@ type env = {
   mutable image : Image.loaded option;
 }
 
-(* Shared physical no-op closures: the block compiler treats "all hooks
-   are these exact closures" as the license to skip per-instruction hook
-   dispatch inside compiled blocks. *)
-let nop_step : int -> unit = fun _ -> ()
-let nop_rw : int -> int -> int -> unit = fun _ _ _ -> ()
-
-let no_hooks () = { on_step = nop_step; on_read = nop_rw; on_write = nop_rw }
-
-let hooks_are_default h =
-  h.on_step == nop_step && h.on_read == nop_rw && h.on_write == nop_rw
+let no_hooks () =
+  { on_step = (fun _ -> ()); on_read = (fun _ _ _ -> ());
+    on_write = (fun _ _ _ -> ()) }
 
 let create ?(fuel = 50_000_000) ?image mem =
   { mem; cpu = Cpu.create ();

@@ -155,23 +155,14 @@ type stats = {
       Bloom-gated cross-shard probe (a subset of
       [s_cache_subset_unsat_hits]) *)
   s_incr_queries : int;
-  (** feasibility/concretization queries answered by an incremental
-      session ({!Incr}) instead of the from-scratch pipeline *)
+  (** Always 0. Only the benchmark harness reads it; a later benchmark
+      change removes it. *)
   s_incr_model_hits : int;
-  (** session queries settled by re-checking the session's cached model *)
-  s_incr_sat_solves : int;
-  (** session queries that ran the incremental SAT engine *)
-  s_incr_learned_retained : int;
-  (** sum over incremental SAT runs of the learned clauses already
-      retained in the solver when the run started *)
-  s_incr_skipped_recanon : int;
-  (** path-condition frames reused verbatim by a session query — each one
-      a simplification + canonicalization + bit-blast not repeated *)
-  s_incr_pushes : int;              (** frames pushed onto sessions *)
-  s_incr_pops : int;                (** frames popped on divergence *)
+  (** Always 0. Only the benchmark harness reads it; a later benchmark
+      change removes it. *)
   s_incr_rebuilds : int;
-  (** sessions rebuilt from scratch (first query of a state, or the
-      state migrated to another domain via stealing/retirement) *)
+  (** Always 0. Only the benchmark harness reads it; a later benchmark
+      change removes it. *)
 }
 
 val stats : unit -> stats
@@ -186,36 +177,3 @@ val stats_queries : unit -> int
 (** Number of [check] calls since start; used by the benchmark harness. *)
 
 val reset_stats : unit -> unit
-
-(** {1 Internal seam for the incremental session layer}
-
-    Used only by {!Incr} (same library): it lets sessions route their
-    per-group solves through the shared query cache and the retry/chaos
-    machinery, and account into the same statistics counters, so a
-    session-answered query is cached, fault-injected and reported exactly
-    like an oracle-answered one. Not meant for engine code. *)
-module For_incr : sig
-  val current_accel : unit -> accel
-
-  val solve_group_with :
-    attempt:
-      (budget:int -> deadline:float option -> Expr.t list -> result) ->
-    accel -> Expr.t list -> result
-  (** Full cache-lookup + retry pipeline for one independence group with
-      [attempt] as the decision procedure (receives the per-attempt
-      conflict budget and absolute deadline). *)
-
-  val verified : Expr.t list -> model -> bool
-
-  val note_query : unit -> unit
-  val note_incr_query : unit -> unit
-  val note_model_hit : unit -> unit
-  val note_sat_solve : unit -> unit
-  val note_interval_solve : unit -> unit
-  val note_bitblast_solve : unit -> unit
-  val note_learned_retained : int -> unit
-  val note_skipped_recanon : int -> unit
-  val note_pushes : int -> unit
-  val note_pops : int -> unit
-  val note_rebuild : unit -> unit
-end

@@ -30,15 +30,6 @@ type config = {
       slicing + query cache, see [Ddt_solver.Solver.set_accel]) for this
       engine's domain; on by default, off gives the bit-blast-everything
       baseline used in benchmarks *)
-  solver_incr : bool;
-  (** route feasibility and concretization queries through per-state
-      incremental solver sessions ({!Ddt_solver.Incr}): the path
-      condition lives in the session as a push/pop stack of bit-blasted
-      frames behind activation literals, learned clauses persist across
-      queries, and concretization asks only the relevant constraint
-      slice (replay pins force-included). On by default; off makes every
-      query rebuild from scratch through [Ddt_solver.Solver] — the
-      differential oracle the incremental path is validated against. *)
   strategy : Sched.strategy;
   jobs : int;
   (** number of worker domains cooperatively exploring this engine's
@@ -69,13 +60,6 @@ type config = {
   chaos : Guard.chaos option;
   (** deterministic fault injection for the chaos harness ({!Guard.chaos});
       [None] (the default) injects nothing and costs nothing *)
-  dbt : bool;
-  (** compile hot basic blocks into guarded closures ({!Sdbt}): fully
-      concrete stretches execute with no per-instruction
-      decode/dispatch and bail to the interpreter at the first symbolic
-      operand. Bug reports are identical either way. On by default;
-      ignored (treated as off) while [record_exec_pcs] is set, because
-      compiled blocks do not emit per-pc trace events. *)
   state_merging : bool;
   (** fuse sibling states back together at branch post-dominators
       ({!Merge}): a symbolic fork whose arms reconverge — per the
@@ -285,7 +269,7 @@ val write_symbolic_bytes :
 val fresh_symbolic :
   engine -> Symstate.t -> name:string -> origin:string -> Expr.width -> Expr.t
 
-val concretize : engine -> Symstate.t -> Expr.t -> string -> int
+val concretize : Symstate.t -> Expr.t -> string -> int
 
 (** {1 Statistics} *)
 
@@ -311,11 +295,15 @@ type stats = {
   (** solver queries/cache-hit/bit-blast counters attributable to this
       engine (snapshot delta since [create]; exact only while no other
       engine runs concurrently — the counters are process-global) *)
-  st_dbt_blocks : int;          (** superblocks compiled *)
-  st_dbt_superblocks : int;     (** chained constituents beyond heads *)
-  st_dbt_guard_bails : int;     (** symbolic-operand guard bailouts *)
-  st_dbt_decompiled : int;      (** superblocks de-compiled after chronic bails *)
-  st_dbt_compiled_steps : int;  (** instructions executed via compiled blocks *)
+  st_dbt_guard_bails : int;
+  (** Always 0. Only the benchmark harness reads it; a later benchmark
+      change removes it. *)
+  st_dbt_decompiled : int;
+  (** Always 0. Only the benchmark harness reads it; a later benchmark
+      change removes it. *)
+  st_dbt_compiled_steps : int;
+  (** Always 0. Only the benchmark harness reads it; a later benchmark
+      change removes it. *)
   st_merged_states : int;       (** sibling states fused at merge points *)
   st_merge_ites : int;          (** register/memory values lifted to ites *)
   st_merge_forks_avoided : int;
@@ -340,8 +328,7 @@ val covered_blocks : engine -> int list
 (** {1 Checkpointing}
 
     The engine's whole mutable universe — frontier queues with exact
-    scheduler keys, merge pool, guard ledger, DBT dispositions,
-    finished states, lineage, coverage, counters, the device's reads
+    scheduler keys, merge pool, guard ledger, finished states, lineage, coverage, counters, the device's reads
     ledger — as one marshal-safe value. Only meaningful at quiescent
     points: the [jobs = 1] pick boundary where the checkpoint hook
     fires, or between workload phases. Config, loaded image, base
@@ -363,8 +350,7 @@ val revive_image : engine -> Symstate.image -> Symstate.t
 val restore_image : engine -> image -> unit
 (** Pour a checkpoint into a freshly created engine for the same image
     and configuration. States get live memories over the engine's base
-    image and device, and fresh sym-read hooks; incremental solver
-    sessions rebuild lazily. *)
+    image and device, and fresh sym-read hooks. *)
 
 val set_checkpoint_hook : engine -> (unit -> unit) -> unit
 (** Install a callback invoked by worker 0 at every pick boundary while

@@ -7,9 +7,7 @@
     symbolic-variable counter (restore keeps minting above every id the
     snapshot uses).
 
-    Incremental solver sessions and compiled DBT blocks are caches, not
-    state: they are never serialized and are rebuilt from scratch after
-    restore. The reader is total — truncated or corrupted snapshots
+    The reader is total — truncated or corrupted snapshots
     come back as [Error _], never exceptions. *)
 
 val snapshot_version : int

@@ -410,6 +410,29 @@ let test_checkpoint_corrupt_resume_errors () =
   check_bool "wrong-driver checkpoint refused" true
     (is_error (Session.resume other ~path:ckpt))
 
+(* A checkpoint from another format version is refused on its version
+   field alone: the rest of this blob has no checkpoint's shape (the
+   driver slot holds an int), so reading any other field at the current
+   checkpoint type would be unsound. *)
+let test_checkpoint_old_version_refused () =
+  let dir = tmpdir () in
+  let ckpt = Filename.concat dir "old.ckpt" in
+  (match Blob.write_file ckpt (1, 42, [ 3; 4 ]) with
+   | Ok () -> ()
+   | Error e -> Alcotest.failf "write_file: %s" e);
+  let expected = Error "checkpoint version 1, expected 2" in
+  check_bool "driver peek refused" true
+    (Session.checkpoint_driver ckpt = expected);
+  let cfg = quick_cfg (Corpus.find "audiopci") in
+  check_bool "resume refused" true
+    (Result.map (fun _ -> ()) (Session.resume cfg ~path:ckpt) = expected);
+  (* a blob that is not even a record has no version field to read *)
+  (match Blob.write_file ckpt 7 with
+   | Ok () -> ()
+   | Error e -> Alcotest.failf "write_file: %s" e);
+  check_bool "non-record blob refused" true
+    (Session.checkpoint_driver ckpt = Error "not a checkpoint")
+
 (* Checkpoint writes hitting a full disk degrade to "no checkpoint",
    never to a failed or different run. *)
 let test_checkpoint_disk_full_degrades () =
@@ -487,6 +510,8 @@ let () =
             test_checkpoint_resume_identical;
           Alcotest.test_case "corrupt/foreign checkpoints refused" `Quick
             test_checkpoint_corrupt_resume_errors;
+          Alcotest.test_case "old checkpoint version refused" `Quick
+            test_checkpoint_old_version_refused;
           Alcotest.test_case "disk-full degrades gracefully" `Quick
             test_checkpoint_disk_full_degrades;
           Alcotest.test_case "warm start via persistent store" `Quick

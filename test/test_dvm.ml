@@ -170,6 +170,136 @@ let test_div_by_zero_faults () =
    | exception Interp.Fault (Interp.Div_by_zero, _) -> ()
    | _ -> Alcotest.fail "expected div-by-zero fault")
 
+(* Every fault carries the pc of the instruction that raised it, and a
+   step that faults still counts as executed. *)
+let test_fault_pc () =
+  let expect src ~fault ~at =
+    let img = Asm.assemble ~name:"test" src in
+    let mem = Mem.create () in
+    let loaded = Image.load img mem ~base:Layout.image_base in
+    let env = Interp.create ~image:loaded mem in
+    Cpu.set env.Interp.cpu Isa.sp Layout.stack_top;
+    let entry = loaded.Image.base + img.Image.entry in
+    match Interp.call_function env ~addr:entry ~args:[] with
+    | exception Interp.Fault (f, pc) ->
+        check_bool (Interp.string_of_fault f) true (f = fault);
+        check_int "fault pc" (entry + (at * Isa.instr_size)) pc;
+        check_int "faulting step counted" (at + 1) env.Interp.steps
+    | _ -> Alcotest.fail ("expected " ^ Interp.string_of_fault fault)
+  in
+  expect ~fault:Interp.Null_deref ~at:1 {|
+    .entry main
+    .func main
+    main:
+      movi r1, 0
+      ldw r0, [r1+8]
+      ret
+  |};
+  expect ~fault:Interp.Div_by_zero ~at:2 {|
+    .entry main
+    .func main
+    main:
+      movi r1, 0
+      movi r2, 7
+      divu r0, r2, r1
+      ret
+  |};
+  (* the push loop runs until the stack limit; the fault lands on the
+     push itself *)
+  let img = Asm.assemble ~name:"test" {|
+    .entry main
+    .func main
+    main:
+      movi r0, 1
+    loop:
+      push r0
+      jmp loop
+  |} in
+  let mem = Mem.create () in
+  let loaded = Image.load img mem ~base:Layout.image_base in
+  let env = Interp.create ~image:loaded mem in
+  Cpu.set env.Interp.cpu Isa.sp Layout.stack_top;
+  let entry = loaded.Image.base + img.Image.entry in
+  match Interp.call_function env ~addr:entry ~args:[] with
+  | exception Interp.Fault (Interp.Stack_overflow, pc) ->
+      check_int "overflow at the push" (entry + Isa.instr_size) pc
+  | _ -> Alcotest.fail "expected stack overflow"
+
+let test_halt_stops () =
+  let img = Asm.assemble ~name:"test" {|
+    .entry main
+    .func main
+    main:
+      movi r0, 42
+      hlt
+      movi r0, 7
+  |} in
+  let mem = Mem.create () in
+  let loaded = Image.load img mem ~base:Layout.image_base in
+  let env = Interp.create ~image:loaded mem in
+  Cpu.set env.Interp.cpu Isa.sp Layout.stack_top;
+  env.Interp.cpu.Cpu.pc <- loaded.Image.base + img.Image.entry;
+  check_bool "halted" true (Interp.run env = Interp.Halted);
+  check_int "nothing after hlt ran" 42 (Cpu.get env.Interp.cpu 0);
+  check_int "two steps" 2 env.Interp.steps
+
+(* Fuel runs out after exactly [fuel] instructions, wherever in the loop
+   that lands. *)
+let prop_fuel_exact =
+  QCheck.Test.make ~count:100 ~name:"fuel exhaustion is step-exact"
+    (QCheck.make QCheck.Gen.(int_range 1 50))
+    (fun fuel ->
+      let img = Asm.assemble ~name:"test" {|
+        .entry main
+        .func main
+        main:
+          movi r0, 0
+        loop:
+          add r0, r0, 1
+          jmp loop
+      |} in
+      let mem = Mem.create () in
+      let loaded = Image.load img mem ~base:Layout.image_base in
+      let env = Interp.create ~fuel ~image:loaded mem in
+      Cpu.set env.Interp.cpu Isa.sp Layout.stack_top;
+      let entry = loaded.Image.base + img.Image.entry in
+      env.Interp.cpu.Cpu.pc <- entry;
+      let stop = Interp.run env in
+      (* step 1 is the movi; even steps are adds, odd ones jumps back *)
+      let next = if fuel mod 2 = 1 then 1 else 2 in
+      stop = Interp.Out_of_fuel
+      && env.Interp.steps = fuel
+      && env.Interp.fuel = 0
+      && Cpu.get env.Interp.cpu 0 = fuel / 2
+      && env.Interp.cpu.Cpu.pc = entry + (next * Isa.instr_size))
+
+let test_call_function_args () =
+  let src = {|
+    .entry main
+    .func main
+    main:
+      push fp
+      mov fp, sp
+      ldw r1, [fp+8]
+      ldw r2, [fp+12]
+      sub r0, r1, r2
+      mov sp, fp
+      pop fp
+      ret
+  |} in
+  let img = Asm.assemble ~name:"test" src in
+  let mem = Mem.create () in
+  let loaded = Image.load img mem ~base:Layout.image_base in
+  let env = Interp.create ~image:loaded mem in
+  Cpu.set env.Interp.cpu Isa.sp Layout.stack_top;
+  let r0 =
+    Interp.call_function env ~addr:(loaded.Image.base + img.Image.entry)
+      ~args:[ 65; 23 ]
+  in
+  check_int "first argument at [fp+8]" 42 r0;
+  check_int "arguments popped" Layout.stack_top
+    (Cpu.get env.Interp.cpu Isa.sp)
+
 let test_kcall_dispatch () =
   let src = {|
     .entry main
@@ -419,6 +549,11 @@ let () =
          Alcotest.test_case "byte ops" `Quick test_byte_ops_and_space;
          Alcotest.test_case "null deref fault" `Quick test_null_deref_faults;
          Alcotest.test_case "div by zero fault" `Quick test_div_by_zero_faults;
+         Alcotest.test_case "fault pc on fault" `Quick test_fault_pc;
+         Alcotest.test_case "hlt stops the run" `Quick test_halt_stops;
+         QCheck_alcotest.to_alcotest prop_fuel_exact;
+         Alcotest.test_case "call_function passes arguments" `Quick
+           test_call_function_args;
          Alcotest.test_case "kcall dispatch" `Quick test_kcall_dispatch;
          Alcotest.test_case "mmio hook" `Quick test_mmio_hook;
          Alcotest.test_case "interrupt nesting" `Quick test_interrupt_nesting ]);

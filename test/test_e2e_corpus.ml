@@ -1,13 +1,86 @@
 (* End-to-end over the full corpus: DDT must find every Table 2 bug kind
    in every buggy driver, and nothing in the fixed variants (the paper
-   reports zero false positives). *)
+   reports zero false positives). At the default configuration each
+   buggy driver's exact bug keys and coverage are pinned too, so any
+   engine change that shifts a verdict or a covered block shows here;
+   the same pins must hold with fault injection enabled. *)
 
 open Ddt_core
 module Report = Ddt_checkers.Report
 module Corpus = Ddt_drivers.Corpus
+module Exec = Ddt_symexec.Exec
+module Guard = Ddt_symexec.Guard
+module Solver = Ddt_solver.Solver
 
 let run ?(fixed = false) entry =
   Ddt.test_driver (Corpus.config ~fixed entry)
+
+(* One default run per buggy driver, shared by every case that reads it. *)
+let buggy_runs : (string, Session.result) Hashtbl.t = Hashtbl.create 8
+
+let run_buggy entry =
+  match Hashtbl.find_opt buggy_runs entry.Corpus.short with
+  | Some r -> r
+  | None ->
+      let r = run entry in
+      Hashtbl.replace buggy_runs entry.Corpus.short r;
+      r
+
+(* Per buggy driver: sorted bug keys, covered reachable blocks, and the
+   size of the reachable universe. *)
+let pinned =
+  [ ("pro1000", [ "leak:Intel Pro/1000:initialize" ], 153, 174);
+    ("pro100", [ "lock:Intel Pro/100 (DDK):wrongrel:0x800008" ], 128, 147);
+    ("ac97", [ "crash:Intel 82801AA AC97:DRIVER_FAULT:0x400248" ], 109, 123);
+    ("audiopci",
+     [ "crash:Ensoniq AudioPCI:DRIVER_FAULT:0x4001c8";
+       "crash:Ensoniq AudioPCI:DRIVER_FAULT:0x400260";
+       "crash:Ensoniq AudioPCI:DRIVER_FAULT:0x400380";
+       "crash:Ensoniq AudioPCI:DRIVER_FAULT:0x400860" ],
+     92, 113);
+    ("pcnet", [ "leak:AMD PCNet:halt"; "leak:AMD PCNet:initialize" ], 88, 105);
+    ("rtl8029",
+     [ "crash:RTL8029:BAD_TIMER_OBJECT:0x4001a8";
+       "crash:RTL8029:DRIVER_FAULT:0x400a78";
+       "crash:RTL8029:DRIVER_FAULT:0x400d28"; "leak:RTL8029:initialize";
+       "mem:RTL8029:0x400608:w" ],
+     74, 87);
+    ("deeploop", [ "crash:Deep-loop poller:DRIVER_FAULT:0x400518" ], 43, 43) ]
+
+let check_pinned short (r : Session.result) =
+  let keys, covered, reachable =
+    match List.find_opt (fun (s, _, _, _) -> s = short) pinned with
+    | Some (_, k, c, u) -> (k, c, u)
+    | None -> Alcotest.failf "no pinned results for %s" short
+  in
+  Alcotest.(check (list string))
+    (short ^ " bug keys") keys
+    (List.sort compare (List.map (fun b -> b.Report.b_key) r.Session.r_bugs));
+  Alcotest.(check int)
+    (short ^ " covered reachable blocks") covered
+    r.Session.r_covered_reachable;
+  Alcotest.(check int)
+    (short ^ " reachable blocks") reachable r.Session.r_reachable_blocks
+
+let check_exact entry () = check_pinned entry.Corpus.short (run_buggy entry)
+
+(* Worker crashes, solver exhaustion and memory pressure all at once.
+   Injections fire on uncached group solves, so the run starts from a
+   cold query cache. *)
+let chaos_spec =
+  { Guard.chaos_worker_crash_period = 25; chaos_solver_exhaust_period = 3;
+    chaos_pressure_words = 50_000_000 }
+
+let check_exact_chaos entry () =
+  let cfg = Corpus.config entry in
+  let cfg =
+    { cfg with
+      Config.exec_config =
+        { cfg.Config.exec_config with Exec.jobs = 1; chaos = Some chaos_spec }
+    }
+  in
+  Solver.clear_cache ();
+  check_pinned entry.Corpus.short (Ddt.test_driver cfg)
 
 let expected_kind_counts entry =
   let tbl = Hashtbl.create 4 in
@@ -18,7 +91,7 @@ let expected_kind_counts entry =
   tbl
 
 let check_driver entry () =
-  let r = run entry in
+  let r = run_buggy entry in
   Format.printf "%a@." Ddt.pp_report r;
   let found = List.map (fun b -> b.Report.b_kind) r.Session.r_bugs in
   let count k = List.length (List.filter (( = ) k) found) in
@@ -46,7 +119,7 @@ let total_bug_count () =
   (* The headline number: 14 bugs across the six drivers. *)
   let total =
     List.fold_left
-      (fun acc e -> acc + List.length (run e).Session.r_bugs)
+      (fun acc e -> acc + List.length (run_buggy e).Session.r_bugs)
       0 Corpus.all
   in
   Alcotest.(check bool)
@@ -63,7 +136,16 @@ let () =
             (check_fixed e) ])
       Corpus.all
   in
+  let exact_cases =
+    List.concat_map
+      (fun e ->
+        [ Alcotest.test_case e.Corpus.short `Quick (check_exact e);
+          Alcotest.test_case (e.Corpus.short ^ " +chaos") `Quick
+            (check_exact_chaos e) ])
+      Corpus.all
+  in
   Alcotest.run "ddt_e2e_corpus"
     [ ("drivers", driver_cases);
+      ("corpus parity", exact_cases);
       ("summary",
        [ Alcotest.test_case "14 bugs total" `Quick total_bug_count ]) ]
