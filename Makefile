@@ -1,4 +1,4 @@
-.PHONY: all build test check bench bench-merge bench-staticrace \
+.PHONY: all build test check bench bench-e2e bench-merge bench-staticrace \
   bench-resume bench-dist clean
 
 all: build
@@ -108,6 +108,13 @@ bench-dist:
 
 bench:
 	dune exec bench/main.exe
+
+# The repo benchmark (BENCHMARK.json): the corpus, small and serve
+# workloads, untraced, one JSON result line each.
+bench-e2e:
+	for w in corpus small serve; do \
+	  python3 ddtbench/run.py --workload $$w --trace 0 || exit 1; \
+	done
 
 # Full state-merging experiment: frontier sizes and bug-report parity
 # with merging off vs on across the corpus (± chaos), including the

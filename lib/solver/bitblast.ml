@@ -1,11 +1,11 @@
 type ctx = {
   c : Cnf.t;
-  memo : (Expr.t, int array) Hashtbl.t;
+  memo : int array Expr.Tbl.t;
   var_bits : (int, int array) Hashtbl.t; (* Expr var id -> literals *)
 }
 
 let create () =
-  { c = Cnf.create (); memo = Hashtbl.create 64; var_bits = Hashtbl.create 16 }
+  { c = Cnf.create (); memo = Expr.Tbl.create 64; var_bits = Hashtbl.create 16 }
 
 let cnf ctx = ctx.c
 
@@ -116,17 +116,17 @@ let shifter c dir xs amount fill =
 (* --- expression compilation ----------------------------------------- *)
 
 let rec blast ctx e =
-  match Hashtbl.find_opt ctx.memo e with
+  match Expr.Tbl.find_opt ctx.memo e with
   | Some bits -> bits
   | None ->
       let bits = blast_uncached ctx e in
-      Hashtbl.add ctx.memo e bits;
+      Expr.Tbl.add ctx.memo e bits;
       bits
 
 and blast_uncached ctx e =
   let open Expr in
   let c = ctx.c in
-  match e with
+  match e.node with
   | Const (w, v) -> const_bits (bits_of_width w) v
   | Var v -> var_bits ctx v
   | Zext x ->

@@ -18,7 +18,18 @@ type binop =
 
 type cmpop = Eq | Ne | Ltu | Leu | Lts | Les
 
-type t =
+(** An expression is a node plus the structural hash of its whole subtree,
+    computed once when the node is built. The record is private: nodes are
+    only made by {!mk} and the smart constructors, so the stored hash is
+    always the hash of the node. There is no intern table — equal
+    expressions need not be physically shared — but subterms built once
+    and reused (the [ite] DAGs state merging lifts) are, and {!equal}
+    stops at physically shared subterms. The hash is a plain int of the
+    node's contents, so expressions stay valid across [Marshal] and
+    between processes. *)
+type t = private { node : node; hash : int }
+
+and node =
   | Const of width * int
   | Var of var
   | Binop of binop * t * t
@@ -68,6 +79,10 @@ val canon_var : int -> width -> var
 
 (** {1 Smart constructors} *)
 
+val mk : node -> t
+(** The node exactly as given, with its hash: no folding or rewriting.
+    For passes that must preserve structure (cache-key renaming). *)
+
 val const : width -> int -> t
 val word : int -> t                 (** [const W32] *)
 val byte : int -> t                 (** [const W8] *)
@@ -88,8 +103,18 @@ val or1 : t -> t -> t               (** boolean disjunction on {!W1} *)
 
 val is_const : t -> bool
 val to_const : t -> int option
+val node : t -> node
+val hash : t -> int                 (** the stored hash, O(1) *)
+
 val vars : t -> var list            (** distinct variables, in id order *)
-val size : t -> int                 (** node count *)
+
+val vars_all : t list -> var list
+(** Distinct variables of all the expressions, in id order: one walk that
+    visits each physically shared subterm once. *)
+
+val size_capped : int -> t -> int
+(** [size_capped cap e] is the tree size of [e] (shared subterms counted
+    at every use) if it is at most [cap], else [cap + 1]. Costs O(cap). *)
 
 (** {1 Concrete evaluation} *)
 
@@ -109,5 +134,32 @@ val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 val pp_var : Format.formatter -> var -> unit
 
+(** {1 Equality, order and tables} *)
+
 val equal : t -> t -> bool
+(** Structural equality. [a == b] answers at once and unequal hashes
+    answer [false] at once; otherwise the nodes are compared shallowly and
+    their children with [equal], so shared subterms are never walked.
+    [equal a b] implies [hash a = hash b]. *)
+
 val compare : t -> t -> int
+(** A total order on structure (constructor, then fields left to right),
+    consistent with {!equal}. *)
+
+(** Tables keyed by structural equality. *)
+module Tbl : Hashtbl.S with type key = t
+
+(** A per-walk memo keyed by physical identity, for walks over shared
+    DAGs. The first few hundred lookups of a walk only count (they answer
+    [None] and {!Memo.add} ignores them), because re-walking a small tree
+    is cheaper than keeping a table; past that every node added is
+    remembered. A walk that memoizes each node it computes thus costs a
+    bounded prefix plus its number of distinct nodes. *)
+module Memo : sig
+  type expr := t
+  type 'a t
+
+  val create : unit -> 'a t
+  val find : 'a t -> expr -> 'a option
+  val add : 'a t -> expr -> 'a -> unit
+end

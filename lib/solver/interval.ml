@@ -22,7 +22,7 @@ let range_gen ~lookup ~refine env e =
   let rec go env e =
     let w = width_of e in
     let top = full w in
-    match e with
+    match e.node with
     | Const (_, v) -> singleton v
     | Var v -> lookup env v
     | Zext x -> go env x
@@ -168,11 +168,11 @@ let narrow env (v : Expr.var) (r : t) =
    possibly through Zext. Returns true if some interval was narrowed. *)
 let apply_constraint env c =
   let open Expr in
-  let rec strip = function Zext x -> strip x | x -> x in
+  let rec strip e = match e.node with Zext x -> strip x | _ -> e in
   let half w = 1 lsl (bits_of_width w - 1) in
-  match c with
-  | Cmp (op, lhs, Const (_, k)) -> (
-      match strip lhs with
+  match c.node with
+  | Cmp (op, lhs, { node = Const (_, k); _ }) -> (
+      match (strip lhs).node with
       | Var v ->
           let m = mask_of_width v.var_width in
           (match op with
@@ -188,8 +188,8 @@ let apply_constraint env c =
                false
            | _ -> false)
       | _ -> false)
-  | Cmp (op, Const (_, k), rhs) -> (
-      match strip rhs with
+  | Cmp (op, { node = Const (_, k); _ }, rhs) -> (
+      match (strip rhs).node with
       | Var v ->
           let m = mask_of_width v.var_width in
           (match op with
@@ -201,7 +201,7 @@ let apply_constraint env c =
            | Leu -> narrow env v { lo = min k m; hi = m }
            | _ -> false)
       | _ -> false)
-  | Not (Cmp _) -> false (* simplifier normalizes these away *)
+  | Not { node = Cmp _; _ } -> false (* simplifier normalizes these away *)
   | _ -> false
 
 (* Condition a copy of [env] on a W1 guard: split its conjunctions and
@@ -209,9 +209,10 @@ let apply_constraint env c =
    contradicts the environment — that arm of an [Ite] is infeasible. *)
 let refine_guard env c =
   let open Expr in
-  let rec atoms acc = function
+  let rec atoms acc c =
+    match c.node with
     | Binop (And, a, b) when width_of a = W1 -> atoms (atoms acc a) b
-    | c -> c :: acc
+    | _ -> c :: acc
   in
   let cs = atoms [] c in
   let env' = Hashtbl.copy env in

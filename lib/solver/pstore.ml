@@ -28,8 +28,9 @@
    writes for this store and the run continues unpersisted. *)
 
 (* Bump when entry semantics change (solver rewrites, canonicalization,
-   verdict encoding): old entries become unreachable, not wrong. *)
-let store_version = 1
+   verdict encoding, the entry address): old entries become unreachable,
+   not wrong. *)
+let store_version = 2
 
 type t = {
   dir : string;                 (* the fully-scoped entry directory *)
@@ -71,11 +72,54 @@ let written t = t.written
 let skipped t = t.skipped
 let writable t = t.writable
 
+(* Bytes that depend only on the key's structure, never on which of its
+   subterms happen to be physically shared (as [Marshal] bytes do).
+   Structurally distinct nodes are numbered in first-visit post-order,
+   and each is written once, with its children replaced by their
+   numbers; the roots' numbers follow. Linear in the distinct nodes. *)
+let key_bytes (key : Expr.t list) =
+  let buf = Buffer.create 256 in
+  let ids = Expr.Tbl.create 64 in
+  let rec emit (e : Expr.t) =
+    match Expr.Tbl.find_opt ids e with
+    | Some i -> i
+    | None ->
+        let ix c = Expr.word (emit c) in
+        let shallow =
+          match e.node with
+          | Expr.Const _ | Expr.Var _ -> e
+          | Expr.Binop (op, a, b) ->
+              let a = ix a in
+              Expr.mk (Expr.Binop (op, a, ix b))
+          | Expr.Cmp (op, a, b) ->
+              let a = ix a in
+              Expr.mk (Expr.Cmp (op, a, ix b))
+          | Expr.Ite (c, a, b) ->
+              let c = ix c in
+              let a = ix a in
+              Expr.mk (Expr.Ite (c, a, ix b))
+          | Expr.Extract (x, i) -> Expr.mk (Expr.Extract (ix x, i))
+          | Expr.Concat4 (b3, b2, b1, b0) ->
+              let b3 = ix b3 in
+              let b2 = ix b2 in
+              let b1 = ix b1 in
+              Expr.mk (Expr.Concat4 (b3, b2, b1, ix b0))
+          | Expr.Zext x -> Expr.mk (Expr.Zext (ix x))
+          | Expr.Not x -> Expr.mk (Expr.Not (ix x))
+        in
+        Buffer.add_string buf (Marshal.to_string shallow [ Marshal.No_sharing ]);
+        let i = Expr.Tbl.length ids in
+        Expr.Tbl.add ids e i;
+        i
+  in
+  List.iter (fun e -> Printf.bprintf buf "%d;" (emit e)) key;
+  Buffer.contents buf
+
 let entry_path t (pe : Qcache.pentry) =
   (* Address by the renamed key alone: for a deterministic engine the
      verdict is a function of the key, so the first writer wins and
      every later run skips the write. *)
-  let digest = Digest.to_hex (Digest.string (Marshal.to_string pe.pe_key [])) in
+  let digest = Digest.to_hex (Digest.string (key_bytes pe.pe_key)) in
   Filename.concat t.dir (digest ^ ".qe")
 
 (* Import the entry files not yet seen by this handle. Filenames are

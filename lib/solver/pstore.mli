@@ -41,6 +41,12 @@ val save : t -> Qcache.Sharded.sharded -> int
 (** Write every entry born in this process that is not already on disk;
     returns how many files were newly written. *)
 
+val entry_path : t -> Qcache.pentry -> string
+(** The file an entry is stored in: named by the digest of a
+    serialization of its renamed key that depends only on the key's
+    structure, so equal keys land in one file however their subterms
+    are shared. *)
+
 val dir : t -> string
 val loaded : t -> int
 val written : t -> int

@@ -19,19 +19,61 @@ module Key = struct
   let equal a b =
     try List.for_all2 Expr.equal a b with Invalid_argument _ -> false
 
-  (* Hashtbl.hash only samples a prefix of large expressions; collisions
-     are resolved by [equal], so this only affects bucket spread. *)
-  let hash k = List.fold_left (fun acc e -> (acc * 1000003) lxor Hashtbl.hash e) 0 k
+  let hash k =
+    List.fold_left (fun acc e -> (acc * 1000003) lxor Expr.hash e) 0 k
 end
 
 module KH = Hashtbl.Make (Key)
+module EH = Expr.Tbl
 
-module EH = Hashtbl.Make (struct
-  type t = Expr.t
+(* --- shard choice --------------------------------------------------------- *)
+(* The sharded cache below picks a key's shard by the value OCaml's
+   generic [Hashtbl.hash] gave its constraints when expressions were plain
+   constructor trees, before they carried a hash of their own. Which
+   shard holds an entry decides which recent models a lookup may reuse,
+   and a reused model pins concrete values; keeping the historical choice
+   keeps every state, query and model of an exploration as it was. *)
 
-  let equal = Expr.equal
-  let hash = Hashtbl.hash
-end)
+(* [Expr.node]'s layout without the record around each child, so the
+   generic hash sees exactly the blocks it used to. *)
+type plain =
+  | P_const of Expr.width * int
+  | P_var of Expr.var
+  | P_binop of Expr.binop * plain * plain
+  | P_cmp of Expr.cmpop * plain * plain
+  | P_ite of plain * plain * plain
+  | P_extract of plain * int
+  | P_concat4 of plain * plain * plain * plain
+  | P_zext of plain
+  | P_not of plain
+
+let shard_hash e =
+  let memo = Expr.Memo.create () in
+  let rec go (e : Expr.t) =
+    match Expr.Memo.find memo e with
+    | Some p -> p
+    | None ->
+        let p =
+          match e.node with
+          | Expr.Const (w, v) -> P_const (w, v)
+          | Expr.Var v -> P_var v
+          | Expr.Binop (op, a, b) -> P_binop (op, go a, go b)
+          | Expr.Cmp (op, a, b) -> P_cmp (op, go a, go b)
+          | Expr.Ite (c, a, b) -> P_ite (go c, go a, go b)
+          | Expr.Extract (x, i) -> P_extract (go x, i)
+          | Expr.Concat4 (b3, b2, b1, b0) ->
+              P_concat4 (go b3, go b2, go b1, go b0)
+          | Expr.Zext x -> P_zext (go x)
+          | Expr.Not x -> P_not (go x)
+        in
+        Expr.Memo.add memo e p;
+        p
+  in
+  Hashtbl.hash (go e)
+
+let shard_index n k =
+  abs (List.fold_left (fun acc e -> (acc * 1000003) lxor shard_hash e) 0 k)
+  mod n
 
 type verdict = V_sat of (Expr.var * int) list | V_unsat
 (* V_sat pairs are in renamed space. *)
@@ -93,7 +135,7 @@ let commutative = function
   | Expr.Sub | Expr.Divu | Expr.Remu | Expr.Shl | Expr.Lshr | Expr.Ashr ->
       false
 
-let shape_tag : Expr.t -> int = function
+let shape_tag : Expr.node -> int = function
   | Expr.Const _ -> 0
   | Expr.Var _ -> 1
   | Expr.Binop _ -> 2
@@ -105,64 +147,100 @@ let shape_tag : Expr.t -> int = function
   | Expr.Not _ -> 8
 
 let rec shape_compare (a : Expr.t) (b : Expr.t) =
-  match (a, b) with
-  | Expr.Const (w1, c1), Expr.Const (w2, c2) -> (
-      match compare w1 w2 with 0 -> compare c1 c2 | c -> c)
-  | Expr.Var v1, Expr.Var v2 ->
-      compare v1.Expr.var_width v2.Expr.var_width
-  | Expr.Binop (o1, x1, y1), Expr.Binop (o2, x2, y2) -> (
-      match compare o1 o2 with
-      | 0 -> ( match shape_compare x1 x2 with 0 -> shape_compare y1 y2 | c -> c)
-      | c -> c)
-  | Expr.Cmp (o1, x1, y1), Expr.Cmp (o2, x2, y2) -> (
-      match compare o1 o2 with
-      | 0 -> ( match shape_compare x1 x2 with 0 -> shape_compare y1 y2 | c -> c)
-      | c -> c)
-  | Expr.Ite (c1, x1, y1), Expr.Ite (c2, x2, y2) -> (
-      match shape_compare c1 c2 with
-      | 0 -> ( match shape_compare x1 x2 with 0 -> shape_compare y1 y2 | c -> c)
-      | c -> c)
-  | Expr.Extract (x1, i1), Expr.Extract (x2, i2) -> (
-      match compare i1 i2 with 0 -> shape_compare x1 x2 | c -> c)
-  | Expr.Concat4 (a3, a2, a1, a0), Expr.Concat4 (b3, b2, b1, b0) -> (
-      match shape_compare a3 b3 with
-      | 0 -> (
-          match shape_compare a2 b2 with
-          | 0 -> (
-              match shape_compare a1 b1 with
-              | 0 -> shape_compare a0 b0
-              | c -> c)
-          | c -> c)
-      | c -> c)
-  | Expr.Zext x1, Expr.Zext x2 -> shape_compare x1 x2
-  | Expr.Not x1, Expr.Not x2 -> shape_compare x1 x2
-  | _ -> compare (shape_tag a) (shape_tag b)
+  if a == b then 0
+  else
+    match (a.node, b.node) with
+    | Expr.Const (w1, c1), Expr.Const (w2, c2) -> (
+        match compare w1 w2 with 0 -> compare c1 c2 | c -> c)
+    | Expr.Var v1, Expr.Var v2 ->
+        compare v1.Expr.var_width v2.Expr.var_width
+    | Expr.Binop (o1, x1, y1), Expr.Binop (o2, x2, y2) -> (
+        match compare o1 o2 with
+        | 0 -> ( match shape_compare x1 x2 with 0 -> shape_compare y1 y2 | c -> c)
+        | c -> c)
+    | Expr.Cmp (o1, x1, y1), Expr.Cmp (o2, x2, y2) -> (
+        match compare o1 o2 with
+        | 0 -> ( match shape_compare x1 x2 with 0 -> shape_compare y1 y2 | c -> c)
+        | c -> c)
+    | Expr.Ite (c1, x1, y1), Expr.Ite (c2, x2, y2) -> (
+        match shape_compare c1 c2 with
+        | 0 -> ( match shape_compare x1 x2 with 0 -> shape_compare y1 y2 | c -> c)
+        | c -> c)
+    | Expr.Extract (x1, i1), Expr.Extract (x2, i2) -> (
+        match compare i1 i2 with 0 -> shape_compare x1 x2 | c -> c)
+    | Expr.Concat4 (a3, a2, a1, a0), Expr.Concat4 (b3, b2, b1, b0) -> (
+        match shape_compare a3 b3 with
+        | 0 -> (
+            match shape_compare a2 b2 with
+            | 0 -> (
+                match shape_compare a1 b1 with
+                | 0 -> shape_compare a0 b0
+                | c -> c)
+            | c -> c)
+        | c -> c)
+    | Expr.Zext x1, Expr.Zext x2 -> shape_compare x1 x2
+    | Expr.Not x1, Expr.Not x2 -> shape_compare x1 x2
+    | na, nb -> compare (shape_tag na) (shape_tag nb)
 
-let rec normalize (e : Expr.t) : Expr.t =
-  match e with
-  | Expr.Const _ | Expr.Var _ -> e
-  | Expr.Binop (op, a, b) ->
-      let a = normalize a and b = normalize b in
-      if commutative op && shape_compare b a < 0 then Expr.Binop (op, b, a)
-      else Expr.Binop (op, a, b)
-  | Expr.Cmp (op, a, b) -> (
-      let a = normalize a and b = normalize b in
-      match op with
-      | (Expr.Eq | Expr.Ne) when shape_compare b a < 0 -> Expr.Cmp (op, b, a)
-      | _ -> Expr.Cmp (op, a, b))
-  | Expr.Ite (c, a, b) -> (
-      (* A negated guard swaps arms, so a lift built from the taken arm
-         and one built from the fallthrough share a key. *)
-      match normalize c with
-      | Expr.Not c' -> Expr.Ite (c', normalize b, normalize a)
-      | c -> Expr.Ite (c, normalize a, normalize b))
-  | Expr.Extract (x, i) -> Expr.Extract (normalize x, i)
-  | Expr.Concat4 (b3, b2, b1, b0) ->
-      Expr.Concat4 (normalize b3, normalize b2, normalize b1, normalize b0)
-  | Expr.Zext x -> Expr.Zext (normalize x)
-  | Expr.Not x -> Expr.Not (normalize x)
+(* Memoized per call on physical nodes, so a shared subterm is normalized
+   once and stays shared; a node whose operands come back unchanged is
+   returned as it is. *)
+let normalize_in memo (e : Expr.t) : Expr.t =
+  let rec go (e : Expr.t) =
+    match e.node with
+    | Expr.Const _ | Expr.Var _ -> e
+    | node -> (
+        match Expr.Memo.find memo e with
+        | Some e' -> e'
+        | None ->
+            let e' = rebuild e node in
+            Expr.Memo.add memo e e';
+            e')
+  and rebuild e node =
+    let same2 a a' b b' = a == a' && b == b' in
+    match node with
+    | Expr.Const _ | Expr.Var _ -> e
+    | Expr.Binop (op, a, b) ->
+        let a' = go a and b' = go b in
+        if commutative op && shape_compare b' a' < 0 then
+          Expr.mk (Expr.Binop (op, b', a'))
+        else if same2 a a' b b' then e
+        else Expr.mk (Expr.Binop (op, a', b'))
+    | Expr.Cmp (op, a, b) -> (
+        let a' = go a and b' = go b in
+        match op with
+        | (Expr.Eq | Expr.Ne) when shape_compare b' a' < 0 ->
+            Expr.mk (Expr.Cmp (op, b', a'))
+        | _ ->
+            if same2 a a' b b' then e else Expr.mk (Expr.Cmp (op, a', b')))
+    | Expr.Ite (c, a, b) -> (
+        (* A negated guard swaps arms, so a lift built from the taken arm
+           and one built from the fallthrough share a key. *)
+        match go c with
+        | { node = Expr.Not c'; _ } -> Expr.mk (Expr.Ite (c', go b, go a))
+        | c' ->
+            let a' = go a and b' = go b in
+            if c == c' && same2 a a' b b' then e
+            else Expr.mk (Expr.Ite (c', a', b')))
+    | Expr.Extract (x, i) ->
+        let x' = go x in
+        if x == x' then e else Expr.mk (Expr.Extract (x', i))
+    | Expr.Concat4 (b3, b2, b1, b0) ->
+        let b3' = go b3 and b2' = go b2 and b1' = go b1 and b0' = go b0 in
+        if same2 b3 b3' b2 b2' && same2 b1 b1' b0 b0' then e
+        else Expr.mk (Expr.Concat4 (b3', b2', b1', b0'))
+    | Expr.Zext x ->
+        let x' = go x in
+        if x == x' then e else Expr.mk (Expr.Zext x')
+    | Expr.Not x ->
+        let x' = go x in
+        if x == x' then e else Expr.mk (Expr.Not x')
+  in
+  go e
 
-let canon cs = List.sort_uniq Expr.compare (List.map normalize cs)
+let canon cs =
+  let memo = Expr.Memo.create () in
+  List.sort_uniq Expr.compare (List.map (normalize_in memo) cs)
 
 (* --- normalization up to variable renaming ------------------------------ *)
 (* Variables are renumbered 1..n in first-occurrence order over the
@@ -185,8 +263,12 @@ let prepare cs =
   let fwd = Hashtbl.create 16 in
   let inv = Hashtbl.create 16 in
   let next = ref 0 in
+  (* Memoized on physical nodes: renaming a subterm again would assign
+     no new variables and yield an equal result, so the first one is
+     reused and the key keeps the canonical key's sharing. *)
+  let memo = Expr.Memo.create () in
   let rec go (e : Expr.t) : Expr.t =
-    match e with
+    match e.node with
     | Expr.Const _ -> e
     | Expr.Var v ->
         let r =
@@ -199,9 +281,18 @@ let prepare cs =
               Hashtbl.add inv !next v;
               r
         in
-        Expr.Var r
-    (* Raw constructors: renaming must preserve structure exactly, or the
-       renamed key's equality would disagree with the original's. *)
+        Expr.var r
+    | node -> (
+        match Expr.Memo.find memo e with
+        | Some e' -> e'
+        | None ->
+            let e' = Expr.mk (rename node) in
+            Expr.Memo.add memo e e';
+            e')
+  (* Raw nodes: renaming must preserve structure exactly, or the renamed
+     key's equality would disagree with the original's. *)
+  and rename : Expr.node -> Expr.node = function
+    | (Expr.Const _ | Expr.Var _) as n -> n
     | Expr.Binop (op, a, b) -> Expr.Binop (op, go a, go b)
     | Expr.Cmp (op, a, b) -> Expr.Cmp (op, go a, go b)
     | Expr.Ite (c, a, b) -> Expr.Ite (go c, go a, go b)
@@ -248,7 +339,7 @@ let unindex t e =
       | None -> ()
       | Some r ->
           r := List.filter (fun e' -> e'.e_id <> e.e_id) !r;
-          if !r = [] then EH.remove t.unsat_index c)
+          if List.is_empty !r then EH.remove t.unsat_index c)
     e.e_orig
 
 (* Batch LRU eviction: drop the least recently used entries down to 3/4
@@ -364,13 +455,10 @@ let add_entry ?(persisted = false) t p verdict =
   e
 
 let store_sat_prepared t p m =
-  if p.p_key <> [] && not (KH.mem t.table p.p_rkey) then begin
+  if (not (List.is_empty p.p_key)) && not (KH.mem t.table p.p_rkey) then begin
     (* Store the model over renamed variables, valued through the inverse
        rename — [Expr.vars] returns them sorted by (dense) renamed id. *)
-    let rvars =
-      List.concat_map Expr.vars p.p_rkey
-      |> List.sort_uniq (fun a b -> compare a.Expr.id b.Expr.id)
-    in
+    let rvars = Expr.vars_all p.p_rkey in
     let pairs =
       List.map (fun (r : Expr.var) -> (r, m (Hashtbl.find p.p_inv r.Expr.id))) rvars
     in
@@ -381,7 +469,7 @@ let store_sat_prepared t p m =
   end
 
 let store_unsat_prepared t p =
-  if p.p_key <> [] && not (KH.mem t.table p.p_rkey) then begin
+  if (not (List.is_empty p.p_key)) && not (KH.mem t.table p.p_rkey) then begin
     let e = add_entry t p V_unsat in
     List.iter
       (fun c ->
@@ -423,7 +511,7 @@ let import_pentry ?(index_subsets = true) t pe =
     | exception _ -> false
   in
   let well_formed =
-    pe.pe_key <> [] && pe.pe_orig <> []
+    (not (List.is_empty pe.pe_key)) && not (List.is_empty pe.pe_orig)
     && (match pe.pe_verdict with V_unsat -> true | V_sat pairs -> sat_ok pairs)
   in
   if (not well_formed) || KH.mem t.table pe.pe_key then false
@@ -516,7 +604,7 @@ module Sharded = struct
 
   (* Two derived bit positions per constraint (classic double hashing). *)
   let bloom_positions c =
-    let h1 = Hashtbl.hash c in
+    let h1 = Expr.hash c in
     let h2 = (h1 * 0x9E3779B1) lxor (h1 lsr 16) in
     let pos h =
       let b = abs h mod (bloom_words * 32) in
@@ -541,7 +629,7 @@ module Sharded = struct
     && Atomic.get sc.bloom.(i2) land m2 <> 0
 
   let shard_for sc p =
-    sc.shards.(abs (Key.hash p.p_rkey) mod Array.length sc.shards)
+    sc.shards.(shard_index (Array.length sc.shards) p.p_rkey)
 
   let with_shard s f =
     Mutex.lock s.mu;
@@ -559,7 +647,7 @@ module Sharded = struct
       let found = ref None in
       Array.iter
         (fun s ->
-          if !found = None && s != home then
+          if Option.is_none !found && s != home then
             match
               with_shard s (fun () ->
                   s.cache.tick <- s.cache.tick + 1;
@@ -646,7 +734,7 @@ module Sharded = struct
      model-reuse list — so a warm start can turn misses into hits but
      cannot reorder the speculative model scan a cold run would do. *)
   let import_pentry ?(index_subsets = true) sc pe =
-    let s = sc.shards.(abs (Key.hash pe.pe_key) mod Array.length sc.shards) in
+    let s = sc.shards.(shard_index (Array.length sc.shards) pe.pe_key) in
     let ok = with_shard s (fun () -> import_pentry ~index_subsets s.cache pe) in
     (* The Bloom filter only gates subset probes; an unindexed core must
        not join it either. *)

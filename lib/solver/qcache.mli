@@ -52,6 +52,12 @@ val create : ?capacity:int -> ?model_reuse:int -> unit -> t
     [model_reuse] bounds how many recent models are tried per lookup
     (default 12). *)
 
+val shard_hash : Expr.t -> int
+(** What [Hashtbl.hash] gave an expression when {!Expr.t} was a plain
+    variant without a stored hash. The sharded cache still picks shards
+    by it, so an entry lives in the same shard, and a lookup sees the
+    same recent models, as before expressions carried their own hash. *)
+
 val canon : Expr.t list -> Expr.t list
 (** Sort by {!Expr.compare} and drop duplicates — the canonical key. *)
 

@@ -11,10 +11,12 @@
     checks exactly this. *)
 
 val simplify : Expr.t -> Expr.t
+(** Linear in the number of distinct (physical) nodes of the input; a
+    subterm shared in the input is shared in the output. *)
 
-val simplify_bool : Expr.t -> Expr.t
-(** [simplify_bool e] simplifies a width-1 expression used as a path
-    condition. Same as {!simplify} but asserts the result width. *)
+val simplify_all : Expr.t list -> Expr.t list
+(** [List.map simplify], with one memo across the list, so subterms the
+    expressions share are simplified once. *)
 
 val prune : under:Expr.t list -> Expr.t -> Expr.t
 (** [prune ~under e] simplifies [e] assuming every constraint in [under]
@@ -22,5 +24,5 @@ val prune : under:Expr.t list -> Expr.t -> Expr.t
     (their verbatim negations false), collapsing [ite]s whose guards the
     path condition has since decided — the merged-state analog of branch
     folding. Semantics-preserving under all models of [under]. Linear in
-    [List.length under + Expr.size e]; intended for the solver-bound
+    [List.length under] plus the distinct nodes of [e]; intended for the solver-bound
     slow path, not per-instruction use. *)

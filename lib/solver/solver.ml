@@ -230,10 +230,7 @@ let verified constraints env =
   List.for_all (fun c -> Expr.eval env c = 1) constraints
 
 let core_solve ~budget ~deadline constraints =
-  let vars =
-    List.concat_map Expr.vars constraints
-    |> List.sort_uniq (fun a b -> compare a.Expr.id b.Expr.id)
-  in
+  let vars = Expr.vars_all constraints in
   match Interval.infer constraints with
   | None ->
       Atomic.incr cnt.c_interval_solves;
@@ -363,11 +360,13 @@ let solve_group a group =
 
 let check constraints =
   Atomic.incr cnt.c_queries;
-  let constraints = List.map Simplify.simplify_bool constraints in
-  if List.exists (fun c -> c = Expr.fls) constraints then Unsat
+  let constraints = Simplify.simplify_all constraints in
+  if List.exists (Expr.equal Expr.fls) constraints then Unsat
   else
-    let constraints = List.filter (fun c -> c <> Expr.tru) constraints in
-    if constraints = [] then Sat (fun _ -> 0)
+    let constraints =
+      List.filter (fun c -> not (Expr.equal c Expr.tru)) constraints
+    in
+    if List.is_empty constraints then Sat (fun _ -> 0)
     else
       let a = current_accel () in
       let groups =
@@ -394,8 +393,7 @@ let check constraints =
             | Sat m ->
                 List.iter
                   (fun (v : Expr.var) -> Hashtbl.replace tbl v.Expr.id (m v))
-                  (List.concat_map Expr.vars g
-                  |> List.sort_uniq (fun a b -> compare a.Expr.id b.Expr.id));
+                  (Expr.vars_all g);
                 go unknown rest)
       in
       go false groups

@@ -112,7 +112,7 @@ let max_nesting = 16
 
 let max_mem_diff = 256   (* differing COW addresses before we refuse *)
 let max_ites = 64        (* lifted values per fused pair *)
-let max_guard_size = 160 (* combined node count of the two guards *)
+let max_guard_size = 160 (* combined tree size of the two guards *)
 
 (* The constraint suffix a state accumulated since the token opened:
    newest-first walk of the list down to the physically captured base
@@ -157,7 +157,13 @@ let try_fuse t tok (a : St.t) (b : St.t) =
     | None, _, _ | _, None, _ | _, _, None -> false
     | Some sa, Some sb, Some addrs when List.length addrs <= max_mem_diff ->
         let ga = conj sa and gb = conj sb in
-        if Expr.size ga + Expr.size gb > max_guard_size then false
+        (* Each capped count is exact up to the cap and cap + 1 past it,
+           so the sum decides exactly as the full tree sizes would. *)
+        if
+          Expr.size_capped max_guard_size ga
+          + Expr.size_capped max_guard_size gb
+          > max_guard_size
+        then false
         else begin
           let reg_diffs = ref [] in
           Array.iteri

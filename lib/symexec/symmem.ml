@@ -44,7 +44,7 @@ let read_u8 t addr =
     (* Fully symbolic hardware: every read is a fresh unconstrained value. *)
     let d = Option.get t.symdev in
     let e = Ddt_hw.Symdev.fresh_read d addr in
-    (match e with
+    (match e.Expr.node with
      | Expr.Var v -> t.sym_read_hook v.Expr.name v
      | _ -> ());
     e

@@ -3,7 +3,9 @@
    reports zero false positives). At the default configuration each
    buggy driver's exact bug keys and coverage are pinned too, so any
    engine change that shifts a verdict or a covered block shows here;
-   the same pins must hold with fault injection enabled. *)
+   the same pins must hold with fault injection enabled. The default
+   runs also pin their exploration counters, so a speedup that changes
+   what is explored (rather than how fast) fails here as well. *)
 
 open Ddt_core
 module Report = Ddt_checkers.Report
@@ -47,6 +49,36 @@ let pinned =
      74, 87);
     ("deeploop", [ "crash:Deep-loop poller:DRIVER_FAULT:0x400518" ], 43, 43) ]
 
+(* Per buggy driver at the default configuration: states created,
+   instructions executed, states fused and fusions refused at merge
+   points, solver queries and group solves. *)
+let pinned_counters =
+  [ ("pro1000", (1124, 79552, 809, 240, 2168, 33070));
+    ("pro100", (935, 111124, 303, 283, 1757, 30168));
+    ("ac97", (79, 67780, 18, 55, 100, 488));
+    ("audiopci", (50, 16064, 8, 0, 36, 56));
+    ("pcnet", (76, 16701, 32, 7, 118, 562));
+    ("rtl8029", (127, 18931, 36, 22, 199, 1683));
+    ("deeploop", (81, 3259, 46, 0, 125, 1088)) ]
+
+let check_counters short (r : Session.result) =
+  let states, steps, fused, refused, queries, group_solves =
+    match List.assoc_opt short pinned_counters with
+    | Some c -> c
+    | None -> Alcotest.failf "no pinned counters for %s" short
+  in
+  let st = r.Session.r_stats in
+  let check what expected got =
+    Alcotest.(check int) (short ^ " " ^ what) expected got
+  in
+  check "states" states st.Exec.st_states_created;
+  check "instructions" steps st.Exec.st_total_steps;
+  check "merges fused" fused st.Exec.st_merged_states;
+  check "merges refused" refused st.Exec.st_merge_refusals;
+  check "solver queries" queries st.Exec.st_solver.Solver.s_queries;
+  check "solver group solves" group_solves
+    st.Exec.st_solver.Solver.s_group_solves
+
 let check_pinned short (r : Session.result) =
   let keys, covered, reachable =
     match List.find_opt (fun (s, _, _, _) -> s = short) pinned with
@@ -62,7 +94,10 @@ let check_pinned short (r : Session.result) =
   Alcotest.(check int)
     (short ^ " reachable blocks") reachable r.Session.r_reachable_blocks
 
-let check_exact entry () = check_pinned entry.Corpus.short (run_buggy entry)
+let check_exact entry () =
+  let r = run_buggy entry in
+  check_pinned entry.Corpus.short r;
+  check_counters entry.Corpus.short r
 
 (* Worker crashes, solver exhaustion and memory pressure all at once.
    Injections fire on uncached group solves, so the run starts from a

@@ -45,7 +45,7 @@ let concrete_mach ks =
       read_expr_u8 = (fun a -> Ddt_solver.Expr.byte (read_u8 a));
       write_expr_u8 =
         (fun a e ->
-          match e with
+          match e.Ddt_solver.Expr.node with
           | Ddt_solver.Expr.Const (_, v) -> write_u8 a v
           | _ -> ());
       fresh_symbolic = (fun _ w -> Ddt_solver.Expr.const w 0);

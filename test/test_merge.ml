@@ -152,16 +152,16 @@ let test_fuse_lifts_to_ite () =
   let s = List.hd o.Merge.mo_requeue in
   check_bool "survivor's tag popped" true (s.St.tags = []);
   (match St.reg_get s 0 with
-   | Expr.Ite _ -> ()
+   | { Expr.node = Expr.Ite _; _ } -> ()
    | e -> Alcotest.failf "r0 not lifted to ite: %s" (Expr.to_string e));
   (match Symmem.read_u8 s.St.mem 0x3000 with
-   | Expr.Ite _ -> ()
+   | { Expr.node = Expr.Ite _; _ } -> ()
    | e -> Alcotest.failf "store not lifted to ite: %s" (Expr.to_string e));
   (match s.St.constraints with
    | d :: rest ->
        check_bool "token base kept physically" true (rest == base_cs);
        check_bool "guards disjoined" true
-         (match d with Expr.Binop (Expr.Or, _, _) -> true | _ -> false)
+         (match d.Expr.node with Expr.Binop (Expr.Or, _, _) -> true | _ -> false)
    | [] -> Alcotest.fail "fused state has no constraints");
   let merged, ites, _, refused = Merge.stats pool in
   check_int "one fusion" 1 merged;

@@ -10,17 +10,17 @@ let check_bool = Alcotest.(check bool)
 
 let test_const_fold () =
   let open Expr in
-  check_int "add" 7 (match binop Add (word 3) (word 4) with
+  check_int "add" 7 (match node (binop Add (word 3) (word 4)) with
     | Const (_, v) -> v | _ -> -1);
   check_int "sub wrap" 0xFFFFFFFF
-    (match binop Sub (word 0) (word 1) with Const (_, v) -> v | _ -> -1);
+    (match node (binop Sub (word 0) (word 1)) with Const (_, v) -> v | _ -> -1);
   check_int "mul mask" ((0xFFFF * 0x10001) land 0xFFFFFFFF)
-    (match binop Mul (word 0xFFFF) (word 0x10001) with
+    (match node (binop Mul (word 0xFFFF) (word 0x10001)) with
      | Const (_, v) -> v | _ -> -1);
   check_int "divu by zero = all ones" 0xFFFFFFFF
-    (match binop Divu (word 42) (word 0) with Const (_, v) -> v | _ -> -1);
+    (match node (binop Divu (word 42) (word 0)) with Const (_, v) -> v | _ -> -1);
   check_int "remu by zero = dividend" 42
-    (match binop Remu (word 42) (word 0) with Const (_, v) -> v | _ -> -1)
+    (match node (binop Remu (word 42) (word 0)) with Const (_, v) -> v | _ -> -1)
 
 let test_identities () =
   let open Expr in
@@ -50,7 +50,7 @@ let test_extract_concat_roundtrip () =
   in
   check_bool "concat of extracts folds" true (equal rebuilt v);
   check_int "extract of const" 0xAB
-    (match extract (word 0xAB1234CD) 3 with Const (_, x) -> x | _ -> -1)
+    (match node (extract (word 0xAB1234CD) 3) with Const (_, x) -> x | _ -> -1)
 
 let test_eval_signed () =
   let open Expr in
@@ -737,6 +737,212 @@ let prop_accel_models_verified =
           | Solver.Sat m -> List.for_all (fun c -> eval m c = 1) cs
           | Solver.Unsat | Solver.Unknown -> true))
 
+(* --- shared DAGs ------------------------------------------------------ *)
+
+(* A depth-[n] ite chain in which each level uses the previous one twice:
+   [e_(i+1) = ite (y == i) (e_i + 1) e_i]. Its tree has about 2^n nodes,
+   its DAG 4n. Built twice from the same variables, the two copies are
+   equal but share no interior node with each other. *)
+let ite_chain x y n =
+  let open Expr in
+  let rec go i e =
+    if i = n then e
+    else go (i + 1) (ite (cmp Eq y (word i)) (binop Add e (word 1)) e)
+  in
+  go 0 x
+
+let test_shared_dag () =
+  let open Expr in
+  let vx = fresh_var ~name:"x" W32 and vy = fresh_var ~name:"y" W32 in
+  let x = var vx and y = var vy in
+  let d = ite_chain x y 64 and d' = ite_chain x y 64 in
+  check_bool "copies are distinct" true (d != d');
+  check_bool "equal to itself" true (equal d d);
+  check_bool "equal to its unshared twin" true (equal d d');
+  check_bool "hash agrees" true (hash d = hash d');
+  check_int "compare agrees" 0 (compare d d');
+  check_bool "differs from a shorter chain" false (equal d (ite_chain x y 63));
+  check_bool "vars" true
+    (List.map (fun v -> v.id) (vars d) = List.map (fun v -> v.id) [ vx; vy ]);
+  check_int "capped size" 161 (size_capped 160 d);
+  check_bool "simplify hands back the same DAG" true (Simplify.simplify d == d);
+  check_bool "simplify_all keeps both" true
+    (List.for_all2 equal (Simplify.simplify_all [ d; d' ]) [ d; d' ]);
+  (* The top guard known true collapses the top ite to its taken arm. *)
+  let top = cmp Eq y (word 63) in
+  check_bool "prune under the top guard" true
+    (equal
+       (Simplify.prune ~under:[ top ] d)
+       (binop Add (ite_chain x y 63) (word 1)));
+  let c = cmp Ltu d (word 5) and other = cmp Eq (var (fresh_var W8)) (byte 1) in
+  check_int "partition" 2 (List.length (Indep.partition [ c; other ]));
+  check_int "relevant" 1 (List.length (Indep.relevant [ c; other ] x));
+  (* Lookups canonicalize and rename the key; a stored entry is then hit
+     from the separately built twin. *)
+  let q = Qcache.create () in
+  check_bool "cold miss" true (Qcache.lookup q [ c; other ] = Qcache.Miss);
+  Qcache.store_unsat q [ c; other ];
+  check_bool "hit from the twin" true
+    (Qcache.lookup q [ other; cmp Ltu d' (word 5) ] = Qcache.Exact_unsat)
+
+let test_size_capped () =
+  let open Expr in
+  let v = var (fresh_var W32) in
+  let e = binop Add (binop Mul v (word 3)) v in
+  check_int "exact below the cap" 5 (size_capped 10 e);
+  check_int "exact at the cap" 5 (size_capped 5 e);
+  check_int "cap + 1 above it" 4 (size_capped 3 e)
+
+(* The layout expressions had before they carried a hash, as a reference:
+   polymorphic equality, order and hash on it are what [Expr.equal],
+   [Expr.compare] and [Qcache.shard_hash] must reproduce. *)
+type plain =
+  | P_const of Expr.width * int
+  | P_var of Expr.var
+  | P_binop of Expr.binop * plain * plain
+  | P_cmp of Expr.cmpop * plain * plain
+  | P_ite of plain * plain * plain
+  | P_extract of plain * int
+  | P_concat4 of plain * plain * plain * plain
+  | P_zext of plain
+  | P_not of plain
+
+(* Every node built fresh, so nothing but the leaves' variables is
+   shared. *)
+let rec unshared = function
+  | P_const (w, v) -> Expr.mk (Expr.Const (w, v))
+  | P_var v -> Expr.mk (Expr.Var v)
+  | P_binop (op, a, b) -> Expr.mk (Expr.Binop (op, unshared a, unshared b))
+  | P_cmp (op, a, b) -> Expr.mk (Expr.Cmp (op, unshared a, unshared b))
+  | P_ite (c, a, b) -> Expr.mk (Expr.Ite (unshared c, unshared a, unshared b))
+  | P_extract (x, i) -> Expr.mk (Expr.Extract (unshared x, i))
+  | P_concat4 (b3, b2, b1, b0) ->
+      Expr.mk
+        (Expr.Concat4 (unshared b3, unshared b2, unshared b1, unshared b0))
+  | P_zext x -> Expr.mk (Expr.Zext (unshared x))
+  | P_not x -> Expr.mk (Expr.Not (unshared x))
+
+(* Structurally equal subterms built once and reused. *)
+let shared p =
+  let memo = Hashtbl.create 16 in
+  let rec go p =
+    match Hashtbl.find_opt memo p with
+    | Some e -> e
+    | None ->
+        let node : Expr.node =
+          match p with
+          | P_const (w, v) -> Expr.Const (w, v)
+          | P_var v -> Expr.Var v
+          | P_binop (op, a, b) -> Expr.Binop (op, go a, go b)
+          | P_cmp (op, a, b) -> Expr.Cmp (op, go a, go b)
+          | P_ite (c, a, b) -> Expr.Ite (go c, go a, go b)
+          | P_extract (x, i) -> Expr.Extract (go x, i)
+          | P_concat4 (b3, b2, b1, b0) ->
+              Expr.Concat4 (go b3, go b2, go b1, go b0)
+          | P_zext x -> Expr.Zext (go x)
+          | P_not x -> Expr.Not (go x)
+        in
+        let e = Expr.mk node in
+        Hashtbl.replace memo p e;
+        e
+  in
+  go p
+
+(* Small alphabets, so independently drawn terms often coincide; widths
+   are not kept consistent — only structure matters here. *)
+let gen_plain =
+  let open QCheck.Gen in
+  let vars =
+    [| Expr.fresh_var ~name:"p" Expr.W32; Expr.fresh_var ~name:"q" Expr.W8 |]
+  in
+  let leaf =
+    oneof
+      [ map2 (fun w v -> P_const (w, v))
+          (oneofl [ Expr.W1; Expr.W8; Expr.W32 ]) (int_bound 3);
+        map (fun i -> P_var vars.(i)) (int_bound 1) ]
+  in
+  let rec go depth =
+    if depth = 0 then leaf
+    else
+      let sub = go (depth - 1) in
+      frequency
+        [ (2, leaf);
+          (2, map3 (fun op a b -> P_binop (op, a, b))
+                (oneofl Expr.[ Add; Sub; And; Xor ]) sub sub);
+          (2, map3 (fun op a b -> P_cmp (op, a, b))
+                (oneofl Expr.[ Eq; Ltu; Les ]) sub sub);
+          (1, map3 (fun c a b -> P_ite (c, a, b)) sub sub sub);
+          (1, map2 (fun x i -> P_extract (x, i)) sub (int_bound 3));
+          (1, map (fun ((b3, b2), (b1, b0)) -> P_concat4 (b3, b2, b1, b0))
+                (pair (pair sub sub) (pair sub sub)));
+          (1, map (fun x -> P_zext x) sub);
+          (1, map (fun x -> P_not x) sub) ]
+  in
+  sized_size (int_bound 4) go
+
+let gen_plain_pair =
+  let open QCheck.Gen in
+  gen_plain >>= fun a ->
+  frequency [ (1, return a); (2, gen_plain) ] >|= fun b -> (a, b)
+
+let sign x = if x < 0 then -1 else if x > 0 then 1 else 0
+
+let prop_equal_matches_reference =
+  QCheck.Test.make ~count:1000
+    ~name:"equal/compare match the reference, shared or not"
+    (QCheck.make gen_plain_pair) (fun (a, b) ->
+      let ea = unshared a and eb = shared b in
+      Expr.equal ea eb = (a = b)
+      && Expr.equal (shared a) (unshared b) = (a = b)
+      && sign (Expr.compare ea eb) = sign (Stdlib.compare a b)
+      && ((not (a = b)) || Expr.hash ea = Expr.hash eb))
+
+let prop_hash_survives_sharing_and_marshal =
+  QCheck.Test.make ~count:500
+    ~name:"hash is the same shared, unshared and after Marshal"
+    (QCheck.make gen_plain) (fun p ->
+      let e = shared p and e' = unshared p in
+      let back : Expr.t = Marshal.from_string (Marshal.to_string e []) 0 in
+      Expr.hash e = Expr.hash e'
+      && Expr.equal e e'
+      && Expr.equal back e
+      && Expr.hash back = Expr.hash e
+      && Expr.hash (Expr.mk (Expr.node back)) = Expr.hash back)
+
+let prop_shard_hash_is_generic_hash =
+  QCheck.Test.make ~count:1000 ~name:"shard_hash is the generic hash"
+    (QCheck.make gen_plain) (fun p ->
+      Qcache.shard_hash (unshared p) = Hashtbl.hash p
+      && Qcache.shard_hash (shared p) = Hashtbl.hash p)
+
+(* The store names an entry by its key's structure, not by which of its
+   subterms happen to be shared (which Marshal bytes depend on). *)
+let test_pstore_path_ignores_sharing () =
+  let open Expr in
+  let v = var (canon_var 1 W32) in
+  let sum = binop Add v (word 7) in
+  let with_sharing = [ cmp Ltu (binop Mul sum sum) (word 9) ] in
+  let without =
+    [ cmp Ltu (binop Mul (binop Add v (word 7)) (binop Add v (word 7)))
+        (word 9) ]
+  in
+  check_bool "Marshal bytes differ" true
+    (Marshal.to_string with_sharing [] <> Marshal.to_string without []);
+  let dir = Filename.temp_file "pstore" "" in
+  Sys.remove dir;
+  match Pstore.open_store ~dir ~key:"k" with
+  | Error e -> Alcotest.fail e
+  | Ok store ->
+      let entry key =
+        { Qcache.pe_key = key; pe_orig = key; pe_verdict = Qcache.V_unsat }
+      in
+      Alcotest.(check string) "same path"
+        (Pstore.entry_path store (entry with_sharing))
+        (Pstore.entry_path store (entry without));
+      check_bool "different keys, different paths" true
+        (Pstore.entry_path store (entry with_sharing)
+         <> Pstore.entry_path store (entry [ cmp Ltu sum (word 9) ]))
+
 let qtest t = QCheck_alcotest.to_alcotest t
 
 let () =
@@ -750,7 +956,14 @@ let () =
          Alcotest.test_case "signed semantics" `Quick test_eval_signed;
          qtest prop_simplify_preserves_semantics;
          qtest prop_smart_constructors_preserve;
-         qtest prop_simplify_idempotent ]);
+         qtest prop_simplify_idempotent;
+         Alcotest.test_case "shared DAG" `Quick test_shared_dag;
+         Alcotest.test_case "capped size" `Quick test_size_capped;
+         qtest prop_equal_matches_reference;
+         qtest prop_hash_survives_sharing_and_marshal;
+         qtest prop_shard_hash_is_generic_hash;
+         Alcotest.test_case "store path ignores sharing" `Quick
+           test_pstore_path_ignores_sharing ]);
       ("interval",
        [ Alcotest.test_case "infeasible" `Quick test_interval_infeasible;
          Alcotest.test_case "narrowing" `Quick test_interval_narrowing;

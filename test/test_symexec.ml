@@ -28,7 +28,7 @@ let test_cow_fork_isolation () =
   Mem.write_u32 base 0x1000 0xCAFE;
   let m1 = Symmem.create ~base ~symdev:None in
   check_int "reads through to base" 0xCAFE
-    (match Symmem.read_u32 m1 0x1000 with
+    (match (Symmem.read_u32 m1 0x1000).Expr.node with
      | Expr.Const (_, v) -> v
      | _ -> -1);
   Symmem.write_u32 m1 0x1000 (Expr.word 1);
@@ -36,11 +36,11 @@ let test_cow_fork_isolation () =
   Symmem.write_u32 m2 0x1000 (Expr.word 2);
   Symmem.write_u32 m1 0x2000 (Expr.word 3);
   check_bool "parent keeps its value" true
-    (Symmem.read_u32 m1 0x1000 = Expr.word 1);
+    (Expr.equal (Symmem.read_u32 m1 0x1000) (Expr.word 1));
   check_bool "child sees its own write" true
-    (Symmem.read_u32 m2 0x1000 = Expr.word 2);
+    (Expr.equal (Symmem.read_u32 m2 0x1000) (Expr.word 2));
   check_bool "child misses parent's post-fork write" true
-    (match Symmem.read_u32 m2 0x2000 with Expr.Const (_, 0) -> true | _ -> false);
+    (match (Symmem.read_u32 m2 0x2000).Expr.node with Expr.Const (_, 0) -> true | _ -> false);
   check_bool "chain grew" true (Symmem.chain_depth m2 >= 2)
 
 let test_cow_word_byte_roundtrip () =
@@ -48,9 +48,9 @@ let test_cow_word_byte_roundtrip () =
   let m = Symmem.create ~base ~symdev:None in
   Symmem.write_u32 m 0x1000 (Expr.word 0x11223344);
   check_int "byte 0" 0x44
-    (match Symmem.read_u8 m 0x1000 with Expr.Const (_, v) -> v | _ -> -1);
+    (match (Symmem.read_u8 m 0x1000).Expr.node with Expr.Const (_, v) -> v | _ -> -1);
   check_int "byte 3" 0x11
-    (match Symmem.read_u8 m 0x1003 with Expr.Const (_, v) -> v | _ -> -1);
+    (match (Symmem.read_u8 m 0x1003).Expr.node with Expr.Const (_, v) -> v | _ -> -1);
   (* A symbolic word decomposes into extracts and recomposes to itself. *)
   let v = Expr.var (Expr.fresh_var Expr.W32) in
   Symmem.write_u32 m 0x2000 v;
@@ -63,12 +63,12 @@ let test_symbolic_device_reads () =
   let r1 = Symmem.read_u8 m Layout.mmio_base in
   let r2 = Symmem.read_u8 m Layout.mmio_base in
   check_bool "fresh symbolic per read" true
-    (match r1, r2 with
+    (match r1.Expr.node, r2.Expr.node with
      | Expr.Var a, Expr.Var b -> a.Expr.id <> b.Expr.id
      | _ -> false);
   (* Writes to the device are discarded. *)
   Symmem.write_u8 m Layout.mmio_base (Expr.byte 0x55);
-  (match Symmem.read_u8 m Layout.mmio_base with
+  (match (Symmem.read_u8 m Layout.mmio_base).Expr.node with
    | Expr.Var _ -> ()
    | _ -> Alcotest.fail "device write must be discarded")
 
@@ -112,11 +112,11 @@ let prop_cow_matches_reference =
                 Hashtbl.replace ref_model (a + i) ((v lsr (8 * i)) land 0xFF)
               done
           | `R8 a -> (
-              match Symmem.read_u8 !m a with
+              match (Symmem.read_u8 !m a).Expr.node with
               | Expr.Const (_, v) -> if v <> read_ref a then ok := false
               | _ -> ok := false)
           | `R32 a -> (
-              match Symmem.read_u32 !m a with
+              match (Symmem.read_u32 !m a).Expr.node with
               | Expr.Const (_, v) ->
                   let expected =
                     read_ref a
@@ -135,7 +135,7 @@ let prop_cow_matches_reference =
       List.iter
         (fun (pm, pref) ->
           for a = 0x1000 to 0x1040 do
-            match Symmem.read_u8 pm a with
+            match (Symmem.read_u8 pm a).Expr.node with
             | Expr.Const (_, v) ->
                 let e = try Hashtbl.find pref a with Not_found -> 0 in
                 if v <> e then ok := false
