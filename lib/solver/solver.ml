@@ -361,6 +361,7 @@ let solve_group a group =
 let check constraints =
   Atomic.incr cnt.c_queries;
   let constraints = Simplify.simplify_all constraints in
+  List.iter (fun c -> assert (Expr.width_of c = Expr.W1)) constraints;
   if List.exists (Expr.equal Expr.fls) constraints then Unsat
   else
     let constraints =

@@ -223,6 +223,20 @@ let test_snapshot_save_load () =
   check_bool "missing file is a clean error" true
     (is_error (Snapshot.load ~base ~symdev:None (path ^ ".nope")))
 
+(* A snapshot from an older format version is refused on its version
+   field, which leads the payload in every version; version 1 held
+   expressions as plain variants. *)
+let test_snapshot_old_version_refused () =
+  let dir = tmpdir () in
+  let path = Filename.concat dir "old.snap" in
+  (match Blob.write_file path (1, 42, [ 3; 4 ]) with
+   | Ok () -> ()
+   | Error e -> Alcotest.failf "write_file: %s" e);
+  let base = Mem.create () in
+  check_bool "refused" true
+    (Result.map (fun _ -> ()) (Snapshot.load ~base ~symdev:None path)
+    = Error "snapshot version 1, expected 2")
+
 (* --- Persistent store ------------------------------------------------------ *)
 
 let sat_model vars v = List.map (fun x -> (x, v)) vars
@@ -413,19 +427,26 @@ let test_checkpoint_corrupt_resume_errors () =
 (* A checkpoint from another format version is refused on its version
    field alone: the rest of this blob has no checkpoint's shape (the
    driver slot holds an int), so reading any other field at the current
-   checkpoint type would be unsound. *)
+   checkpoint type would be unsound. Version 2 is the last layout whose
+   expressions were plain variants rather than [{ node; hash }] records. *)
 let test_checkpoint_old_version_refused () =
   let dir = tmpdir () in
   let ckpt = Filename.concat dir "old.ckpt" in
-  (match Blob.write_file ckpt (1, 42, [ 3; 4 ]) with
-   | Ok () -> ()
-   | Error e -> Alcotest.failf "write_file: %s" e);
-  let expected = Error "checkpoint version 1, expected 2" in
-  check_bool "driver peek refused" true
-    (Session.checkpoint_driver ckpt = expected);
   let cfg = quick_cfg (Corpus.find "audiopci") in
-  check_bool "resume refused" true
-    (Result.map (fun _ -> ()) (Session.resume cfg ~path:ckpt) = expected);
+  List.iter
+    (fun v ->
+      (match Blob.write_file ckpt (v, 42, [ 3; 4 ]) with
+       | Ok () -> ()
+       | Error e -> Alcotest.failf "write_file: %s" e);
+      let expected =
+        Error
+          (Printf.sprintf "checkpoint version %d, expected 3" v)
+      in
+      check_bool "driver peek refused" true
+        (Session.checkpoint_driver ckpt = expected);
+      check_bool "resume refused" true
+        (Result.map (fun _ -> ()) (Session.resume cfg ~path:ckpt) = expected))
+    [ 1; 2 ];
   (* a blob that is not even a record has no version field to read *)
   (match Blob.write_file ckpt 7 with
    | Ok () -> ()
@@ -495,7 +516,9 @@ let () =
           Alcotest.test_case "variable counter" `Quick
             test_snapshot_var_counter;
           qtest test_snapshot_corrupt_fuzz;
-          Alcotest.test_case "save/load file" `Quick test_snapshot_save_load ] );
+          Alcotest.test_case "save/load file" `Quick test_snapshot_save_load;
+          Alcotest.test_case "old snapshot version refused" `Quick
+            test_snapshot_old_version_refused ] );
       ( "pstore",
         [ Alcotest.test_case "roundtrip" `Quick test_pstore_roundtrip;
           Alcotest.test_case "corruption only costs" `Quick

@@ -915,6 +915,32 @@ let prop_shard_hash_is_generic_hash =
       Qcache.shard_hash (unshared p) = Hashtbl.hash p
       && Qcache.shard_hash (shared p) = Hashtbl.hash p)
 
+(* Trees past the 512 lookups after which [shard_hash]'s walk starts
+   memoizing, which the property's trees never reach. *)
+let test_shard_hash_large () =
+  let v = Expr.fresh_var ~name:"x" Expr.W32 in
+  let rec balanced d i =
+    if d = 0 then P_const (Expr.W32, i land 3)
+    else
+      P_binop
+        ( (if d mod 2 = 0 then Expr.Add else Expr.Xor),
+          balanced (d - 1) (2 * i),
+          balanced (d - 1) ((2 * i) + 1) )
+  in
+  let rec chain n =
+    if n = 0 then P_var v
+    else if n land 1 = 0 then P_not (chain (n - 1))
+    else P_zext (chain (n - 1))
+  in
+  List.iter
+    (fun (name, p) ->
+      check_int (name ^ ", unshared") (Hashtbl.hash p)
+        (Qcache.shard_hash (unshared p));
+      check_int (name ^ ", shared") (Hashtbl.hash p)
+        (Qcache.shard_hash (shared p)))
+    [ ("balanced, 2047 nodes", balanced 10 0);
+      ("chain, 601 nodes", chain 600) ]
+
 (* The store names an entry by its key's structure, not by which of its
    subterms happen to be shared (which Marshal bytes depend on). *)
 let test_pstore_path_ignores_sharing () =
@@ -962,6 +988,8 @@ let () =
          qtest prop_equal_matches_reference;
          qtest prop_hash_survives_sharing_and_marshal;
          qtest prop_shard_hash_is_generic_hash;
+         Alcotest.test_case "shard_hash of large trees" `Quick
+           test_shard_hash_large;
          Alcotest.test_case "store path ignores sharing" `Quick
            test_pstore_path_ignores_sharing ]);
       ("interval",
