@@ -1,5 +1,4 @@
-.PHONY: all build test check bench bench-e2e bench-merge bench-staticrace \
-  bench-resume bench-dist clean
+.PHONY: all build test check bench bench-e2e clean
 
 all: build
 
@@ -9,35 +8,30 @@ build:
 test:
 	dune runtest
 
-# Tier-1 verification plus smoke tests: a quick shared-frontier run on
-# two drivers (work stealing + shared query cache end to end), a quick
-# chaos run (injected worker crashes / solver exhaustions / memory
-# pressure must leave the bug sets unchanged), a quick state-merging
-# parity run (fusing states at post-dominators must leave the bug sets
-# unchanged while collapsing the deep-loop driver's frontier), a quick
-# static-race run (lockset/IRQL + race rules fire on
-# the seeded corpus, are false-positive-free on every fixed variant, and
-# at least one race warning is confirmed by directed symbolic
-# execution), the
-# static pre-analysis on two known-clean drivers (nonzero universe,
-# zero findings under the syntactic rules; rtl8029's buggy variant
-# legitimately fires the interprocedural race rule, so the clean smoke
-# is scoped to the syntactic families), a full-rule FP smoke over every
-# fixed-variant image, a durability smoke (a quick checkpoint/resume +
-# warm-start parity run, then a real SIGKILL mid-exploration followed
-# by `ddt_cli resume` that must reproduce the uninterrupted oracle's
-# report byte for byte, then a second run against the persistent store
-# that must actually hit it), a multi-process smoke (a 2-worker-process
-# coordinator run on two drivers must report the same bug set as one
-# process, plus a serve/submit round-trip over a Unix socket), and a
-# warning-clean doc build.
+# Tier-1 verification plus end-to-end smokes:
+# - one traced `ddtbench` corpus leg: every corpus driver at the default
+#   config, then with each optional layer changed (merging off, -j 2,
+#   2 worker processes, checkpointing, a warm solver store), each bug
+#   set checked against the recorded oracle; the last line must read
+#   "correct":true with no failed session;
+# - the multi-process CLI: a 2-worker-process run reports the same bug
+#   keys as one process, and a serve/submit round trip over a Unix
+#   socket streams back a schema report;
+# - durability: a SIGKILL'd checkpointing run finished by `ddt_cli
+#   resume` reproduces the uninterrupted report byte for byte; a second
+#   run against the persistent store hits it and reports the same;
+#   checkpointing combined with -j 2 or --dist-workers is refused;
+# - the static pre-analysis: zero findings on two known-clean drivers
+#   (rtl8029's buggy variant legitimately fires the interprocedural race
+#   rule, so its smoke is scoped to the syntactic families) and under
+#   every rule on every fixed variant;
+# - a warning-clean doc build.
 check: build test
-	dune exec bench/main.exe -- parallel --quick
-	dune exec bench/main.exe -- chaos --quick
-	dune exec bench/main.exe -- merge --quick
-	dune exec bench/main.exe -- staticrace --quick
-	dune exec bench/main.exe -- resume --quick
-	dune exec bench/main.exe -- dist --quick
+	@set -e; last=$$(python3 ddtbench/run.py --workload corpus \
+	  --seconds 3 --trace 1 | tail -n 1); \
+	echo "$$last" | grep -q '"correct":true'; \
+	echo "$$last" | grep -q '"failed":0[,}]'; \
+	echo "e2e leg: corpus and every layer-off leg match the oracle"
 	@set -e; dir=$$(mktemp -d); cli=./_build/default/bin/ddt_cli.exe; \
 	$$cli test rtl8029 --json-out $$dir/seq.json >/dev/null || [ $$? -eq 2 ]; \
 	$$cli test rtl8029 --dist-workers 2 --json-out $$dir/dist.json \
@@ -74,6 +68,14 @@ check: build test
 	grep -q "solver store:" $$dir/warm.out; \
 	cmp $$dir/cold.json $$dir/warm.json; \
 	echo "warm-start smoke: persistent store hit, identical report"; \
+	for flag in "-j 2" "--dist-workers 2"; do \
+	  if $$cli test rtl8029 $$flag --checkpoint-every 1000 \
+	    --checkpoint $$dir/r.ckpt >/dev/null 2>$$dir/refused.err; then \
+	    exit 1; else [ $$? -eq 1 ]; fi; \
+	  grep -q "checkpoint-every" $$dir/refused.err; \
+	done; \
+	test ! -e $$dir/r.ckpt; \
+	echo "checkpoint refusal smoke: -j 2 / --dist-workers refused"; \
 	rm -rf $$dir
 	dune exec bin/ddt_cli.exe -- analyze rtl8029 --expect-clean \
 	  --rules unreachable-code,stack-imbalance,const-arg-contract > /dev/null
@@ -84,28 +86,6 @@ check: build test
 	done
 	dune build @doc
 
-# Full static-race experiment: per-driver warning counts (buggy vs fixed,
-# new interprocedural rules vs the baseline absint), the zero-FP check on
-# every fixed variant, and a directed-confirmation session on rtl8029
-# (the race warning must come back dynamically confirmed); writes
-# BENCH_staticrace.json.
-bench-staticrace:
-	dune exec bench/main.exe -- staticrace --json
-
-# Full durability experiment: checkpoint overhead at the default
-# interval, kill-resume wall time vs from-scratch with byte-identical
-# reports, and the warm-start bit-blast reduction from the persistent
-# solver store, across the corpus; writes BENCH_resume.json.
-bench-resume:
-	dune exec bench/main.exe -- resume --json
-
-# Full multi-process experiment: coordinator wall time at 1/2/4 worker
-# processes vs one process and vs a 4-process redundant portfolio,
-# states shipped / stolen / re-shipped, and cross-process persistent-
-# store hits, across the corpus; writes BENCH_dist.json.
-bench-dist:
-	dune exec bench/main.exe -- dist --json
-
 bench:
 	dune exec bench/main.exe
 
@@ -115,12 +95,6 @@ bench-e2e:
 	for w in corpus small serve; do \
 	  python3 ddtbench/run.py --workload $$w --trace 0 || exit 1; \
 	done
-
-# Full state-merging experiment: frontier sizes and bug-report parity
-# with merging off vs on across the corpus (± chaos), including the
-# deep-loop >= 10x state-collapse check; writes BENCH_merge.json.
-bench-merge:
-	dune exec bench/main.exe -- merge --json
 
 clean:
 	dune clean

@@ -105,9 +105,9 @@ let no_merge_flag =
 let checkpoint_every_arg =
   let doc =
     "Write a session checkpoint every $(docv) engine steps (0 disables). \
-     Only effective with a single worker, fully symbolic hardware and no \
-     replay script; a SIGKILL'd run restarted with $(b,resume) produces \
-     the same report as an uninterrupted one."
+     Needs a single in-process worker: refused together with $(b,-j) above \
+     1 or $(b,--dist-workers). A SIGKILL'd run restarted with \
+     $(b,resume) produces the same report as an uninterrupted one."
   in
   Arg.(value & opt int 0 & info [ "checkpoint-every" ] ~docv:"STEPS" ~doc)
 
@@ -180,6 +180,18 @@ let apply_session_flags cfg ~jobs ~guided ~chaos ~no_merge
                 chaos_pressure_words = 50_000_000 } } }
   else cfg
 
+(* Checkpoints are only written by a single in-process worker (see
+   [Session.checkpointable]); any other combination would silently leave
+   nothing for [resume] to read. *)
+let refuse_checkpointing ~checkpoint_every ~jobs ~dist_workers =
+  if checkpoint_every > 0 && (jobs > 1 || dist_workers > 0) then begin
+    prerr_endline
+      "--checkpoint-every needs a single in-process worker: drop -j/--jobs \
+       above 1 and --dist-workers";
+    true
+  end
+  else false
+
 let report_result ~traces ~json_out r =
   Format.printf "%a" Ddt_core.Ddt.pp_report r;
   if traces then
@@ -206,6 +218,7 @@ let test_cmd =
       checkpoint_every checkpoint_path store_dir no_persist json_out =
     match find_entry short with
     | Error e -> prerr_endline e; 1
+    | Ok _ when refuse_checkpointing ~checkpoint_every ~jobs ~dist_workers -> 1
     | Ok entry ->
         let cfg =
           Corpus.config ~fixed ~use_annotations:(not no_annot) entry
@@ -252,6 +265,7 @@ let resume_cmd =
   let run ckpt fixed no_annot traces jobs guided chaos no_merge
       checkpoint_every checkpoint_path store_dir no_persist json_out =
     match Ddt_core.Session.checkpoint_driver ckpt with
+    | _ when refuse_checkpointing ~checkpoint_every ~jobs ~dist_workers:0 -> 1
     | Error e -> Printf.eprintf "cannot read checkpoint: %s\n" e; 1
     | Ok name -> (
         match

@@ -129,7 +129,7 @@ let setup ?(store_index_subsets = true) (cfg : Config.t) =
      cache, never to a failure. *)
   let store =
     match cfg.Config.store_dir with
-    | Some dir when cfg.Config.persist && exec_config.Exec.solver_accel -> (
+    | Some dir when cfg.Config.persist -> (
         match Pstore.open_store ~dir ~key:cfg.Config.driver_name with
         | Ok s ->
             ignore
@@ -294,7 +294,7 @@ let setup ?(store_index_subsets = true) (cfg : Config.t) =
 
 (* {2 Checkpointing} *)
 
-let checkpoint_version = 3
+let checkpoint_version = 4
 
 (* A checkpoint is one self-contained marshal image of every piece of
    session progress: the engine image (queues, merge pool, guard,
@@ -318,7 +318,7 @@ type checkpoint = {
   ck_bases : St.image list;
   ck_engine : Exec.image;
   ck_var_counter : int;
-  ck_qcache : Qcache.Sharded.dump option;
+  ck_qcache : Qcache.Sharded.dump;
 }
 
 let default_checkpoint_path (cfg : Config.t) =
@@ -342,10 +342,7 @@ let write_checkpoint ctx path =
       ck_bases = List.map St.to_image !(ctx.x_bases);
       ck_engine = Exec.checkpoint_image ctx.x_eng;
       ck_var_counter = Expr.var_counter_value ();
-      ck_qcache =
-        (if ctx.x_exec_config.Exec.solver_accel then
-           Some (Qcache.Sharded.dump (Solver.current_cache ()))
-         else None);
+      ck_qcache = Qcache.Sharded.dump (Solver.current_cache ());
     }
   in
   (* Durability is best-effort: a full disk or unwritable path costs the
@@ -579,9 +576,7 @@ let resume (cfg : Config.t) ~path : (result, string) Stdlib.result =
         (* The checkpoint's cache dump is authoritative: it reproduces
            the exact hit/miss sequence the uninterrupted run would have
            seen, overriding whatever the persistent store pre-loaded. *)
-        (match ck.ck_qcache with
-         | Some d -> ignore (Qcache.Sharded.import (Solver.current_cache ()) d)
-         | None -> ());
+        ignore (Qcache.Sharded.import (Solver.current_cache ()) ck.ck_qcache);
         Report.restore_sink ctx.x_sink ck.ck_sink;
         ctx.x_invocations := ck.ck_invocations;
         ctx.x_finished_count := ck.ck_finished_count;

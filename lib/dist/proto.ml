@@ -78,10 +78,9 @@ let close c =
   if c.fd_out <> c.fd_in then
     try Unix.close c.fd_out with Unix.Unix_error _ -> ()
 
-let send c msg =
+let write_frame c s =
   if c.broken then Error "connection broken"
   else
-    let s = encode msg in
     let n = String.length s in
     let b = Bytes.unsafe_of_string s in
     let rec go off =
@@ -96,6 +95,9 @@ let send c msg =
     in
     go 0
 
+let send c msg = write_frame c (encode msg)
+let send_raw c payload = write_frame c (frame payload)
+
 (* One fd read appended to the buffer; [Ok false] = EOF. *)
 let read_chunk c =
   let b = Bytes.create 65536 in
@@ -107,25 +109,31 @@ let read_chunk c =
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> Ok true
   | exception Unix.Unix_error _ -> Error "read failed"
 
-let pop_frame c =
+let pop_payload c =
   match extract c.rbuf with
   | Error _ as e ->
       c.broken <- true;
       e
   | Ok None -> Ok None
-  | Ok (Some (payload, rest)) -> (
+  | Ok (Some (payload, rest)) ->
       c.rbuf <- rest;
+      Ok (Some payload)
+
+let pop_frame c =
+  match pop_payload c with
+  | (Error _ | Ok None) as r -> r
+  | Ok (Some payload) -> (
       match decode_payload payload with
       | Ok v -> Ok (Some v)
       | Error e ->
           c.broken <- true;
           Error ("corrupt frame: " ^ e))
 
-(* Blocking receive of one message. *)
-let rec recv c =
+(* Blocking receive of one frame, taken off the buffer by [pop]. *)
+let rec recv_with pop c =
   if c.broken then Error "connection broken"
   else
-    match pop_frame c with
+    match pop c with
     | Error _ as e -> e
     | Ok (Some v) -> Ok v
     | Ok None -> (
@@ -136,7 +144,10 @@ let rec recv c =
         | Ok false ->
             c.broken <- true;
             Error "eof"
-        | Ok true -> recv c)
+        | Ok true -> recv_with pop c)
+
+let recv c = recv_with pop_frame c
+let recv_raw c = recv_with pop_payload c
 
 (* Non-blocking receive: drain whatever is readable right now; [Ok
    None] when no complete frame is available. *)

@@ -49,7 +49,17 @@ val send : conn -> 'a -> (unit, string) result
     marks the connection broken. *)
 
 val recv : conn -> ('a, string) result
-(** Block until one message arrives. EOF and corruption are [Error _]. *)
+(** Block until one message arrives. EOF and corruption are [Error _].
+    The result is read back at whatever type the caller names, so only
+    use it on a peer that shares this build's types. *)
+
+val send_raw : conn -> string -> (unit, string) result
+(** Write one frame whose payload is the string itself, with no blob
+    envelope: for messages the receiver parses and checks as text. *)
+
+val recv_raw : conn -> (string, string) result
+(** Block until one frame arrives and return its payload unparsed. EOF
+    and length damage are [Error _]. *)
 
 val try_recv : conn -> ('a option, string) result
 (** Drain whatever is readable without blocking; [Ok None] when no

@@ -5,8 +5,10 @@
    admission control is the resource [Governor] forced onto every job's
    configuration. Responses are newline-delimited JSON: an acceptance
    (or error) object first, then the full schema report. The job
-   request itself travels as one {!Proto} frame, so a truncated or
-   corrupt submission is a clean error, never a hang. *)
+   request itself travels as one {!Proto} frame whose payload is a short
+   line of text, checked field by field on decode: the daemon does not
+   trust its peer, so a truncated, corrupt or foreign submission is a
+   clean error line, never a hang and never a misread job. *)
 
 module Config = Ddt_core.Config
 module Governor = Ddt_core.Governor
@@ -17,6 +19,35 @@ type job = {
   jq_fixed : bool;       (* run the repaired variant *)
   jq_workers : int;      (* worker processes for this job *)
 }
+
+(* The request line: [ddt-job/1 <driver> <fixed 0|1> <workers>]. *)
+let request_tag = "ddt-job/1"
+
+let job_to_string j =
+  Printf.sprintf "%s %s %d %d" request_tag j.jq_driver
+    (if j.jq_fixed then 1 else 0)
+    j.jq_workers
+
+let is_name_char = function
+  | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '-' | '.' -> true
+  | _ -> false
+
+let is_digit = function '0' .. '9' -> true | _ -> false
+
+let job_of_string s =
+  match String.split_on_char ' ' s with
+  | [ tag; driver; fixed; workers ] when tag = request_tag ->
+      if driver = "" || String.length driver > 64
+         || not (String.for_all is_name_char driver)
+      then Error "bad driver name"
+      else if fixed <> "0" && fixed <> "1" then Error "bad fixed flag"
+      else if workers = "" || String.length workers > 4
+              || not (String.for_all is_digit workers)
+      then Error "bad worker count"
+      else
+        Ok { jq_driver = driver; jq_fixed = fixed = "1";
+             jq_workers = int_of_string workers }
+  | _ -> Error "not a job request"
 
 let json_escape s =
   let b = Buffer.create (String.length s + 8) in
@@ -54,12 +85,12 @@ let admit (cfg : Config.t) =
 
 let handle_client ~resolve fd =
   let conn = Proto.make ~fd_in:fd ~fd_out:fd in
-  (match Proto.recv conn with
+  (match Result.bind (Proto.recv_raw conn) job_of_string with
    | Error e ->
        write_line fd
          (Printf.sprintf "{\"serve\":\"error\",\"message\":\"bad request: %s\"}"
             (json_escape e))
-   | Ok (job : job) -> (
+   | Ok job -> (
        match resolve job with
        | Error e ->
            write_line fd
@@ -71,10 +102,8 @@ let handle_client ~resolve fd =
              (Printf.sprintf
                 "{\"serve\":\"accepted\",\"driver\":\"%s\",\"workers\":%d}"
                 (json_escape cfg.Config.driver_name)
-                (max 0 job.jq_workers));
-           let result, counters =
-             Dist.run ~workers:(max 0 job.jq_workers) cfg
-           in
+                job.jq_workers);
+           let result, counters = Dist.run ~workers:job.jq_workers cfg in
            write_line fd
              (Printf.sprintf
                 "{\"serve\":\"done\",\"wall\":%.3f,\"shipped\":%d,\"steals\":%d,\"reships\":%d}"
@@ -123,7 +152,7 @@ let submit ~socket_path (job : job) =
       Error (Printf.sprintf "connect %s: %s" socket_path (Unix.error_message e))
   | () -> (
       let conn = Proto.make ~fd_in:fd ~fd_out:fd in
-      match Proto.send conn job with
+      match Proto.send_raw conn (job_to_string job) with
       | Error e ->
           close ();
           Error e

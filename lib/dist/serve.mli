@@ -1,7 +1,9 @@
 (** Unix-socket job daemon ([ddt_cli serve]) and its client
     ([ddt_cli submit]).
 
-    The server accepts one framed {!job} per connection, resolves it to
+    The server accepts one framed {!job} per connection, sent as the
+    text of {!job_to_string} and checked by {!job_of_string} (anything
+    else gets an error line, and the daemon serves on), resolves it to
     a configuration (corpus lookup lives in the caller), forces the
     resource {!Ddt_core.Governor} onto it — admission control: a served
     job can never run ungoverned — runs it through {!Dist.run}, and
@@ -15,6 +17,14 @@ type job = {
   jq_fixed : bool;       (** run the repaired variant *)
   jq_workers : int;      (** worker processes for this job *)
 }
+
+val job_to_string : job -> string
+(** The wire form: [ddt-job/1 <driver> <0|1> <workers>]. *)
+
+val job_of_string : string -> (job, string) result
+(** Inverse of {!job_to_string}. Refuses any other text: a driver name
+    outside [[A-Za-z0-9_.-]{1,64}], a fixed flag other than [0]/[1], or
+    a worker count that is not 0–9999. *)
 
 val serve :
   socket_path:string ->

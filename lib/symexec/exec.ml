@@ -20,14 +20,9 @@ type config = {
   quantum : int;
   max_injections : int;
   inject_interrupts : bool;
-  respect_cli : bool;
-  record_exec_pcs : bool;
   concrete_hardware : bool;
   (** route device reads to the concrete MMIO hooks instead of minting
       symbolic values — used by the stress baseline *)
-  solver_accel : bool;
-  (** enable constraint-independence slicing and the query cache for this
-      engine's domain (off = bit-blast every query from scratch) *)
   strategy : Sched.strategy;
   jobs : int;
   (** worker domains exploring this engine's frontier cooperatively
@@ -37,16 +32,6 @@ type config = {
       a distance-to-uncovered function ({!set_distance_fn}) that keys the
       [Min_dist] strategy and tiebreaks [Min_touch]. Off by default — the
       engine then behaves exactly as before. *)
-  guard : bool;
-  (** fault-tolerant exploration ({!Guard}): every state's step loop runs
-      inside a fault boundary that quarantines the state on an escaped
-      exception, crashed worker loops are restarted (bounded, with
-      backoff), and solver budget exhaustions during a state's quantum
-      are recorded as incidents. Off = the historical fail-fast engine
-      (one escaped exception kills the session). *)
-  max_worker_restarts : int;
-  (** restarts granted to a worker that keeps crashing without making
-      progress (the counter resets once the worker completes a pick) *)
   chaos : Guard.chaos option;
   (** deterministic fault injection for the chaos harness; [None] (the
       default) injects nothing *)
@@ -67,15 +52,10 @@ let default_config =
     quantum = 2_000;
     max_injections = 1;
     inject_interrupts = true;
-    respect_cli = true;
-    record_exec_pcs = false;
     concrete_hardware = false;
-    solver_accel = true;
     strategy = Sched.Min_touch;
     jobs = 1;
     static_guidance = false;
-    guard = true;
-    max_worker_restarts = 3;
     chaos = None;
     state_merging = true;
   }
@@ -168,9 +148,7 @@ type engine = {
   solver_base : Solver.stats;
   (* snapshot at creation; [stats] reports the delta, i.e. the solver
      work attributable to this engine. The counters are process-global,
-     so the delta is only exact while no other engine runs concurrently
-     (Portfolio mode overlaps engines; its per-job solver stats are
-     indicative, not exact). *)
+     so the delta is only exact while no other engine runs concurrently. *)
 }
 
 (* Atomic max for report-only high-water marks. *)
@@ -198,8 +176,9 @@ let create ?(config = default_config) img base_mem symdev =
   Ddt_kernel.Ndis.install ();
   Ddt_kernel.Portcls.install ();
   Ddt_kernel.Usb.install ();
-  Solver.set_accel
-    (if config.solver_accel then Solver.default_accel else Solver.no_accel);
+  (* Slicing and caching on, and a fresh shared query cache: every
+     engine starts from the same solver state. *)
+  Solver.set_accel Solver.default_accel;
   let block_addrs =
     Array.of_list
       (List.map
@@ -418,12 +397,12 @@ let rec retire eng st status ~report =
   Mutex.unlock eng.glock;
   (* The hook runs outside the lock so checkers may call [stats] etc.;
      Session serializes its own accounting. A checker exception is an
-     engine fault, not a driver finding: under the guard it is
-     quarantined as an incident (with the state's script) instead of
+     engine fault, not a driver finding: it is quarantined as an
+     incident (with the state's script) instead of
      unwinding the worker. *)
   if report then begin
     try eng.on_state_done st
-    with exn when eng.cfg.guard && Guard.absorbable exn ->
+    with exn when Guard.absorbable exn ->
       Guard.record eng.guard_st
         {
           Guard.inc_kind = Guard.State_fault;
@@ -680,7 +659,7 @@ let maybe_inject eng st ~site ~phase =
     site_allowed
     && eng.cfg.inject_interrupts
     && Kstate.isr_registered st.St.ks
-    && ((not eng.cfg.respect_cli) || st.St.int_enabled)
+    && st.St.int_enabled
     && (not (Kstate.in_isr st.St.ks))
     && Kstate.irql st.St.ks < Kstate.device_level
     && st.St.injections < eng.cfg.max_injections
@@ -899,7 +878,6 @@ let step eng st =
   if pc = Layout.return_sentinel then handle_sentinel eng st
   else begin
     note_block eng st pc;
-    if eng.cfg.record_exec_pcs then St.record st (Event.E_exec pc);
     st.St.steps <- st.St.steps + 1;
     Atomic.incr eng.total_steps;
     let instr = fetch eng pc in
@@ -1125,8 +1103,8 @@ let step_quantum eng st =
   let wid = Domain.DLS.get worker_key in
   (* Snapshot this domain's solver exhaustion counters so a budget that
      runs dry during this quantum can be attributed to [st]. *)
-  let exh0 = if eng.cfg.guard then Solver.domain_exhaustions () else 0 in
-  let unrec0 = if eng.cfg.guard then Solver.domain_unrecovered () else 0 in
+  let exh0 = Solver.domain_exhaustions () in
+  let unrec0 = Solver.domain_unrecovered () in
   (try
      while
        (not (St.terminated st))
@@ -1176,7 +1154,7 @@ let step_quantum eng st =
             { c_code = Bugcheck.string_of_code code; c_msg = msg;
               c_pc = st.St.pc })
          ~report:true
-   | exn when eng.cfg.guard && Guard.absorbable exn ->
+   | exn when Guard.absorbable exn ->
        (* The fault boundary: an interpreter fault, stack overflow,
           out-of-memory, or any other exception escaping this state's
           execution quarantines the state — replayable script and all —
@@ -1194,25 +1172,23 @@ let step_quantum eng st =
        retire eng st
          (St.Discarded ("quarantined: " ^ Guard.describe exn))
          ~report:false);
-  if eng.cfg.guard then begin
-    let d_exh = Solver.domain_exhaustions () - exh0 in
-    if d_exh > 0 && Guard.claim_solver_flag eng.guard_st st.St.id then begin
-      let d_unrec = Solver.domain_unrecovered () - unrec0 in
-      Guard.record eng.guard_st
-        {
-          Guard.inc_kind = Guard.Solver_exhaustion;
-          inc_worker = wid;
-          inc_state_id = st.St.id;
-          inc_entry = st.St.entry_name;
-          inc_pc = st.St.pc;
-          inc_message =
-            Printf.sprintf
-              "%d solver budget exhaustion(s) during quantum (%d recovered \
-               by escalated retry, %d left Unknown)"
-              d_exh (d_exh - d_unrec) d_unrec;
-          inc_replay = safe_replay_script st;
-        }
-    end
+  let d_exh = Solver.domain_exhaustions () - exh0 in
+  if d_exh > 0 && Guard.claim_solver_flag eng.guard_st st.St.id then begin
+    let d_unrec = Solver.domain_unrecovered () - unrec0 in
+    Guard.record eng.guard_st
+      {
+        Guard.inc_kind = Guard.Solver_exhaustion;
+        inc_worker = wid;
+        inc_state_id = st.St.id;
+        inc_entry = st.St.entry_name;
+        inc_pc = st.St.pc;
+        inc_message =
+          Printf.sprintf
+            "%d solver budget exhaustion(s) during quantum (%d recovered \
+             by escalated retry, %d left Unknown)"
+            d_exh (d_exh - d_unrec) d_unrec;
+        inc_replay = safe_replay_script st;
+      }
   end;
   if eng.shard_pending.(wid) > 0 then flush_shard eng wid
 
@@ -1299,6 +1275,10 @@ let sample_live eng st =
    state; the wrapper tells the supervisor not to record it twice. *)
 exception Quarantined of exn
 
+(* Restarts granted to a worker that keeps crashing without completing a
+   pick; progress resets the count. *)
+let max_worker_restarts = 3
+
 let worker_loop eng ~stop ~start ~max_total_steps ~plateau_steps ~alive wid =
   (* Dead-worker reaper: an idle worker that notices a permanently-dead
      sibling (supervisor gave up, or the domain body unwound) with work
@@ -1341,7 +1321,7 @@ let worker_loop eng ~stop ~start ~max_total_steps ~plateau_steps ~alive wid =
                Guard.maybe_crash eng.guard_st eng.cfg.chaos;
                if picks land 63 = 0 then sample_live eng st;
                step_quantum eng st
-             with exn when eng.cfg.guard ->
+             with exn ->
                (* A fault that escaped the state-level boundary hit the
                   worker itself ([step_quantum] absorbs the state's own
                   faults), so [st] was not mid-execution and is intact:
@@ -1381,7 +1361,7 @@ let worker_loop eng ~stop ~start ~max_total_steps ~plateau_steps ~alive wid =
     Domain.DLS.set worker_key wid;
     try loop () with
     | Stdlib.Exit -> ()
-    | exn when eng.cfg.guard ->
+    | exn ->
         (match exn with
         | Quarantined _ -> ()
         | exn ->
@@ -1401,17 +1381,13 @@ let worker_loop eng ~stop ~start ~max_total_steps ~plateau_steps ~alive wid =
               });
         let picks_now = Atomic.get eng.picks in
         let attempts = if picks_now > last_picks then 0 else attempts in
-        if attempts < eng.cfg.max_worker_restarts then begin
+        if attempts < max_worker_restarts then begin
           Guard.note_restart eng.guard_st;
           Guard.backoff attempts;
           supervised (attempts + 1) picks_now
         end
   in
-  if eng.cfg.guard then supervised 0 (Atomic.get eng.picks)
-  else begin
-    Domain.DLS.set worker_key wid;
-    loop ()
-  end
+  supervised 0 (Atomic.get eng.picks)
 
 (* Drain the frontier to empty through merge folds: retiring a token
    carrier can fold its token and requeue the fold's survivors, so a
@@ -1465,13 +1441,13 @@ let run eng ?(max_total_steps = 20_000_000) ?(plateau_steps = 150_000)
       List.init (jobs - 1) (fun i -> Domain.spawn (fun () -> worker (i + 1)))
     in
     worker 0;
-    (* Under the guard the supervisor absorbs every fault, so these joins
-       cannot re-raise; the belt-and-suspenders handler still prevents a
-       dead domain from taking the session down through the join. *)
+    (* The supervisor absorbs every fault, so these joins cannot
+       re-raise; the belt-and-suspenders handler still prevents a dead
+       domain from taking the session down through the join. *)
     List.iter
       (fun d ->
         try Domain.join d
-        with exn when eng.cfg.guard ->
+        with exn ->
           Guard.record eng.guard_st
             {
               Guard.inc_kind = Guard.Worker_crash;
@@ -1492,10 +1468,10 @@ let run eng ?(max_total_steps = 20_000_000) ?(plateau_steps = 150_000)
   match Atomic.get stop with
   | None ->
       (* Every worker exhausted its restart budget with work remaining —
-         only reachable under the guard after repeated wedges. Drain the
-         leftovers quietly so the session still terminates cleanly and
-         reports what was explored. *)
-      if eng.cfg.guard && not (Frontier.quiescent eng.frontier) then
+         only reachable after repeated wedges. Drain the leftovers
+         quietly so the session still terminates cleanly and reports
+         what was explored. *)
+      if not (Frontier.quiescent eng.frontier) then
         drain_retire eng (fun st ->
             retire eng st
               (St.Discarded "workers exhausted restart budget")

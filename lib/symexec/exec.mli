@@ -10,7 +10,15 @@
 
     The engine is checker-agnostic: it exposes hooks for memory accesses,
     newly covered basic blocks, and terminated states; [ddt_core.Session]
-    wires these to the dynamic checkers. *)
+    wires these to the dynamic checkers.
+
+    Exploration is fault-tolerant ({!Guard}): every state's step loop
+    runs inside a fault boundary that quarantines the state (with its
+    replayable script) when an exception escapes — interpreter faults,
+    [Stack_overflow], [Out_of_memory], checker exceptions. A crashed
+    worker loop is restarted with backoff, up to 3 times in a row
+    without completing a pick, and solver budget exhaustions during a
+    state's quantum are recorded as incidents ({!incidents}). *)
 
 module Expr = Ddt_solver.Expr
 
@@ -20,16 +28,11 @@ type config = {
   quantum : int;               (** instructions per scheduling slice *)
   max_injections : int;        (** symbolic interrupts per path *)
   inject_interrupts : bool;
-  respect_cli : bool;          (** honor the CPU interrupt-enable flag *)
-  record_exec_pcs : bool;      (** record every executed pc in the trace *)
+  (** inject symbolic interrupts at kernel-call boundaries where the
+      CPU interrupt-enable flag is set *)
   concrete_hardware : bool;
   (** route device reads to the concrete MMIO hooks instead of minting
       symbolic values — used by the stress baseline *)
-  solver_accel : bool;
-  (** enable the solver acceleration layer (constraint-independence
-      slicing + query cache, see [Ddt_solver.Solver.set_accel]) for this
-      engine's domain; on by default, off gives the bit-blast-everything
-      baseline used in benchmarks *)
   strategy : Sched.strategy;
   jobs : int;
   (** number of worker domains cooperatively exploring this engine's
@@ -44,19 +47,6 @@ type config = {
       which keys the {!Sched.Min_dist} strategy and tiebreaks
       [Min_touch]. Off by default; with no oracle installed every
       strategy orders states exactly as before this knob existed. *)
-  guard : bool;
-  (** fault-tolerant exploration ({!Guard}), on by default: every
-      state's step loop runs inside a fault boundary that quarantines
-      the state (with its replayable script) when an exception escapes —
-      interpreter faults, [Stack_overflow], [Out_of_memory], checker
-      exceptions — a crashed worker loop is restarted with backoff, and
-      solver budget exhaustions during a state's quantum are recorded as
-      incidents ({!incidents}). Off restores the historical fail-fast
-      engine, where one escaped exception kills the whole session. *)
-  max_worker_restarts : int;
-  (** restarts granted to a worker that crashes repeatedly {e without
-      completing a pick} (progress resets the counter); a worker that
-      gives up leaves the frontier to the survivors. Default 3. *)
   chaos : Guard.chaos option;
   (** deterministic fault injection for the chaos harness ({!Guard.chaos});
       [None] (the default) injects nothing and costs nothing *)

@@ -19,12 +19,14 @@ let bug_keys r =
 
 let oracle entry = Ddt.test_driver (Corpus.config entry)
 
-let check_parity ?kill_worker ~workers entry =
+let check_parity ?kill_worker ?store_dir ~workers entry =
   let seq = bug_keys (oracle entry) in
-  let r, _ = Dist.run ~workers ?kill_worker (Corpus.config entry) in
+  let cfg = { (Corpus.config entry) with Config.store_dir } in
+  let r, _ = Dist.run ~workers ?kill_worker cfg in
   Alcotest.(check (list string))
-    (Printf.sprintf "%s: %d-worker bug set = sequential" entry.Corpus.short
-       workers)
+    (Printf.sprintf "%s: %d-worker bug set = sequential%s"
+       entry.Corpus.short workers
+       (if store_dir = None then "" else " (shared store)"))
     seq (bug_keys r)
 
 (* {2 Wire framing} *)
@@ -199,12 +201,20 @@ let refresh_sees_other_writers () =
 
 (* {2 Coordinator parity} *)
 
-let parity_case ~workers short () = check_parity ~workers (Corpus.find short)
+(* With [store], the case also runs with the workers sharing a fresh
+   persistent solver store. *)
+let parity_case ?(store = false) ~workers short () =
+  check_parity ~workers (Corpus.find short);
+  if store then
+    with_tmpdir (fun dir ->
+        check_parity ~store_dir:dir ~workers (Corpus.find short))
 
 let kill_case ~workers short () =
   check_parity ~workers ~kill_worker:0 (Corpus.find short)
 
-let serve_roundtrip () =
+(* Fork a daemon serving [max_jobs] connections on a fresh socket, run
+   [f socket_path] against it, then reap it. *)
+let with_daemon ~max_jobs f =
   with_tmpdir (fun dir ->
       let socket_path = Filename.concat dir "ddt.sock" in
       match Unix.fork () with
@@ -214,7 +224,7 @@ let serve_roundtrip () =
             | e -> Ok (Corpus.config ~fixed:j.Serve.jq_fixed e)
             | exception Not_found -> Error ("unknown driver " ^ j.Serve.jq_driver)
           in
-          ignore (Serve.serve ~socket_path ~max_jobs:1 ~resolve ());
+          ignore (Serve.serve ~socket_path ~max_jobs ~resolve ());
           Unix._exit 0
       | pid ->
           let rec wait_sock n =
@@ -225,29 +235,70 @@ let serve_roundtrip () =
             end
           in
           wait_sock 200;
-          let lines =
-            match
-              Serve.submit ~socket_path
-                { Serve.jq_driver = "rtl8029"; jq_fixed = false; jq_workers = 2 }
-            with
-            | Ok l -> l
-            | Error e -> Alcotest.fail e
-          in
-          ignore (Unix.waitpid [] pid);
-          let report =
-            List.filter_map Report_json.of_string lines |> function
-            | [ r ] -> r
-            | _ -> Alcotest.fail "expected exactly one schema report line"
-          in
-          Alcotest.(check string) "served driver"
-            (Corpus.config (Corpus.find "rtl8029")).Config.driver_name
-            report.Report_json.j_driver;
-          let seq = bug_keys (oracle (Corpus.find "rtl8029")) in
-          Alcotest.(check (list string)) "served bug set = sequential" seq
-            (List.sort compare
-               (List.map
-                  (fun b -> b.Report_json.jb_key)
-                  report.Report_json.j_bugs)))
+          Fun.protect
+            ~finally:(fun () -> ignore (Unix.waitpid [] pid))
+            (fun () -> f socket_path))
+
+(* Submit the rtl8029 job and check the streamed report against the
+   sequential oracle. *)
+let check_served_rtl8029 socket_path =
+  let lines =
+    match
+      Serve.submit ~socket_path
+        { Serve.jq_driver = "rtl8029"; jq_fixed = false; jq_workers = 2 }
+    with
+    | Ok l -> l
+    | Error e -> Alcotest.fail e
+  in
+  let report =
+    List.filter_map Report_json.of_string lines |> function
+    | [ r ] -> r
+    | _ -> Alcotest.fail "expected exactly one schema report line"
+  in
+  Alcotest.(check string) "served driver"
+    (Corpus.config (Corpus.find "rtl8029")).Config.driver_name
+    report.Report_json.j_driver;
+  let seq = bug_keys (oracle (Corpus.find "rtl8029")) in
+  Alcotest.(check (list string)) "served bug set = sequential" seq
+    (List.sort compare
+       (List.map (fun b -> b.Report_json.jb_key) report.Report_json.j_bugs))
+
+let serve_roundtrip () = with_daemon ~max_jobs:1 check_served_rtl8029
+
+(* A frame carrying some other type (a version-skewed client, a stray
+   [Proto.send]) is answered with an error line, and the daemon goes on
+   to serve the next, valid job. *)
+let serve_refuses_foreign_frame () =
+  with_daemon ~max_jobs:2 (fun socket_path ->
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_UNIX socket_path);
+      (match Proto.send (Proto.make ~fd_in:fd ~fd_out:fd) 42 with
+       | Ok () -> ()
+       | Error e -> Alcotest.fail e);
+      let reply = In_channel.input_all (Unix.in_channel_of_descr fd) in
+      Unix.close fd;
+      Alcotest.(check bool)
+        (Printf.sprintf "error line for a foreign frame: %S" reply)
+        true
+        (String.starts_with ~prefix:"{\"serve\":\"error\"" reply
+         && String.index_opt reply '\n' = Some (String.length reply - 1));
+      check_served_rtl8029 socket_path)
+
+let job_request_decoding () =
+  let job =
+    { Serve.jq_driver = "pro1000"; jq_fixed = true; jq_workers = 3 }
+  in
+  Alcotest.(check bool) "round trip" true
+    (Serve.job_of_string (Serve.job_to_string job) = Ok job);
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) (Printf.sprintf "refused: %S" s) true
+        (Result.is_error (Serve.job_of_string s)))
+    [ ""; "ddt-job/1"; "ddt-job/1 pro1000 1"; "ddt-job/2 pro1000 1 3";
+      "ddt-job/1 pro1000 yes 3"; "ddt-job/1 pro1000 1 -2";
+      "ddt-job/1 pro1000 1 0x10"; "ddt-job/1 pro1000 1 99999";
+      "ddt-job/1 ../x\n 1 3"; "ddt-job/1  1 3"; "ddt-job/1 pro1000 1 3 x";
+      Proto.encode 42 ]
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in
@@ -275,12 +326,14 @@ let () =
               Alcotest.test_case
                 (Printf.sprintf "%s 2-worker parity" e.Corpus.short)
                 `Quick
-                (parity_case ~workers:2 e.Corpus.short);
+                (parity_case
+                   ~store:(List.mem e.Corpus.short [ "rtl8029"; "pcnet" ])
+                   ~workers:2 e.Corpus.short);
             ])
           Corpus.all
         @ [
             Alcotest.test_case "rtl8029 1-worker parity" `Quick
-              (parity_case ~workers:1 "rtl8029");
+              (parity_case ~store:true ~workers:1 "rtl8029");
             Alcotest.test_case "rtl8029 4-worker parity" `Quick
               (parity_case ~workers:4 "rtl8029");
           ] );
@@ -292,6 +345,12 @@ let () =
               `Quick
               (kill_case ~workers:2 e.Corpus.short))
           Corpus.all );
-      ("serve", [ Alcotest.test_case "serve/submit roundtrip" `Quick
-                    serve_roundtrip ]);
+      ( "serve",
+        [
+          Alcotest.test_case "serve/submit roundtrip" `Quick serve_roundtrip;
+          Alcotest.test_case "foreign frame refused, daemon serves on" `Quick
+            serve_refuses_foreign_frame;
+          Alcotest.test_case "job request decoding" `Quick
+            job_request_decoding;
+        ] );
     ]

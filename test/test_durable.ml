@@ -428,7 +428,8 @@ let test_checkpoint_corrupt_resume_errors () =
    field alone: the rest of this blob has no checkpoint's shape (the
    driver slot holds an int), so reading any other field at the current
    checkpoint type would be unsound. Version 2 is the last layout whose
-   expressions were plain variants rather than [{ node; hash }] records. *)
+   expressions were plain variants rather than [{ node; hash }] records;
+   version 3 is the last whose query-cache dump was optional. *)
 let test_checkpoint_old_version_refused () =
   let dir = tmpdir () in
   let ckpt = Filename.concat dir "old.ckpt" in
@@ -440,13 +441,13 @@ let test_checkpoint_old_version_refused () =
        | Error e -> Alcotest.failf "write_file: %s" e);
       let expected =
         Error
-          (Printf.sprintf "checkpoint version %d, expected 3" v)
+          (Printf.sprintf "checkpoint version %d, expected 4" v)
       in
       check_bool "driver peek refused" true
         (Session.checkpoint_driver ckpt = expected);
       check_bool "resume refused" true
         (Result.map (fun _ -> ()) (Session.resume cfg ~path:ckpt) = expected))
-    [ 1; 2 ];
+    [ 1; 2; 3 ];
   (* a blob that is not even a record has no version field to read *)
   (match Blob.write_file ckpt 7 with
    | Ok () -> ()
@@ -476,11 +477,6 @@ let test_checkpoint_disk_full_degrades () =
    queries from the store (persist hits, fewer bit-blasts) and reports
    the same bugs. *)
 let test_session_warm_start () =
-  let dir = tmpdir () in
-  let e = Corpus.find "rtl8029" in
-  let cfg = { (quick_cfg e) with Config.store_dir = Some dir } in
-  let cold = fresh_run cfg in
-  let warm = fresh_run cfg in
   let hits (r : Session.result) =
     r.Session.r_stats.Ddt_symexec.Exec.st_solver
       .Ddt_solver.Solver.s_cache_persist_hits
@@ -489,16 +485,27 @@ let test_session_warm_start () =
     r.Session.r_stats.Ddt_symexec.Exec.st_solver
       .Ddt_solver.Solver.s_bitblast_solves
   in
-  check_int "cold run has no persist hits" 0 (hits cold);
-  check_bool "warm run hits the store" true (hits warm > 0);
-  check_bool "warm run bit-blasts no more than cold" true
-    (blasts warm <= blasts cold);
-  check_string "same report either way"
-    (Report_json.to_string (Report_json.of_result cold))
-    (Report_json.to_string (Report_json.of_result warm));
-  (* --no-persist: same dir, no loads, no hits *)
-  let off = fresh_run { cfg with Config.persist = false } in
-  check_int "persist off means no store hits" 0 (hits off)
+  List.iter
+    (fun short ->
+      let dir = tmpdir () in
+      let cfg =
+        { (quick_cfg (Corpus.find short)) with Config.store_dir = Some dir }
+      in
+      let cold = fresh_run cfg in
+      let warm = fresh_run cfg in
+      let check_int m = check_int (short ^ ": " ^ m) in
+      let check_bool m = check_bool (short ^ ": " ^ m) in
+      check_int "cold run has no persist hits" 0 (hits cold);
+      check_bool "warm run hits the store" true (hits warm > 0);
+      check_bool "warm run bit-blasts no more than cold" true
+        (blasts warm <= blasts cold);
+      check_string (short ^ ": same report either way")
+        (Report_json.to_string (Report_json.of_result cold))
+        (Report_json.to_string (Report_json.of_result warm));
+      (* --no-persist: same dir, no loads, no hits *)
+      let off = fresh_run { cfg with Config.persist = false } in
+      check_int "persist off means no store hits" 0 (hits off))
+    [ "rtl8029"; "pro100" ]
 
 let () =
   Random.self_init ();
