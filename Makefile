@@ -10,17 +10,17 @@ test:
 
 # Tier-1 verification plus end-to-end smokes:
 # - one traced `ddtbench` corpus leg: every corpus driver at the default
-#   config, then with each optional layer changed (merging off, -j 2,
-#   2 worker processes, checkpointing, a warm solver store), each bug
-#   set checked against the recorded oracle; the last line must read
-#   "correct":true with no failed session;
-# - the multi-process CLI: a 2-worker-process run reports the same bug
-#   keys as one process, and a serve/submit round trip over a Unix
-#   socket streams back a schema report;
+#   config, then with each optional layer changed (merging off, -j 2 —
+#   its "dist" leg runs -j 2 too, through `Dist.run` — checkpointing, a
+#   warm solver store), each bug set checked against the recorded
+#   oracle; the last line must read "correct":true with no failed
+#   session;
+# - serve: a serve/submit round trip over a Unix socket streams back a
+#   schema report whose sorted bug keys equal a sequential run's;
 # - durability: a SIGKILL'd checkpointing run finished by `ddt_cli
 #   resume` reproduces the uninterrupted report byte for byte; a second
 #   run against the persistent store hits it and reports the same;
-#   checkpointing combined with -j 2 or --dist-workers is refused;
+#   checkpointing combined with -j 2 is refused;
 # - the static pre-analysis: zero findings on two known-clean drivers
 #   (rtl8029's buggy variant legitimately fires the interprocedural race
 #   rule, so its smoke is scoped to the syntactic families) and under
@@ -34,12 +34,6 @@ check: build test
 	echo "e2e leg: corpus and every layer-off leg match the oracle"
 	@set -e; dir=$$(mktemp -d); cli=./_build/default/bin/ddt_cli.exe; \
 	$$cli test rtl8029 --json-out $$dir/seq.json >/dev/null || [ $$? -eq 2 ]; \
-	$$cli test rtl8029 --dist-workers 2 --json-out $$dir/dist.json \
-	  >/dev/null || [ $$? -eq 2 ]; \
-	grep -o '"key":"[^"]*"' $$dir/seq.json | sort > $$dir/seq.keys; \
-	grep -o '"key":"[^"]*"' $$dir/dist.json | sort > $$dir/dist.keys; \
-	cmp $$dir/seq.keys $$dir/dist.keys; \
-	echo "dist smoke: 2-worker bug set identical to one process"; \
 	$$cli serve --socket $$dir/ddt.sock --max-jobs 1 >/dev/null 2>&1 & \
 	pid=$$!; \
 	for i in $$(seq 1 100); do test -S $$dir/ddt.sock && break; \
@@ -49,7 +43,11 @@ check: build test
 	wait $$pid || true; \
 	grep -q '"serve":"done"' $$dir/served.out; \
 	grep -q '"schema"' $$dir/served.out; \
-	echo "serve smoke: submitted job round-tripped a schema report"; \
+	grep -o '"key":"[^"]*"' $$dir/seq.json | sort > $$dir/seq.keys; \
+	grep -o '"key":"[^"]*"' $$dir/served.out | sort > $$dir/served.keys; \
+	test -s $$dir/seq.keys; \
+	cmp $$dir/seq.keys $$dir/served.keys; \
+	echo "serve smoke: served report's bug keys identical to a sequential run"; \
 	rm -rf $$dir
 	@set -e; dir=$$(mktemp -d); cli=./_build/default/bin/ddt_cli.exe; \
 	$$cli test pro100 --json-out $$dir/oracle.json >/dev/null || [ $$? -eq 2 ]; \
@@ -68,14 +66,12 @@ check: build test
 	grep -q "solver store:" $$dir/warm.out; \
 	cmp $$dir/cold.json $$dir/warm.json; \
 	echo "warm-start smoke: persistent store hit, identical report"; \
-	for flag in "-j 2" "--dist-workers 2"; do \
-	  if $$cli test rtl8029 $$flag --checkpoint-every 1000 \
-	    --checkpoint $$dir/r.ckpt >/dev/null 2>$$dir/refused.err; then \
-	    exit 1; else [ $$? -eq 1 ]; fi; \
-	  grep -q "checkpoint-every" $$dir/refused.err; \
-	done; \
+	if $$cli test rtl8029 -j 2 --checkpoint-every 1000 \
+	  --checkpoint $$dir/r.ckpt >/dev/null 2>$$dir/refused.err; then \
+	  exit 1; else [ $$? -eq 1 ]; fi; \
+	grep -q "checkpoint-every" $$dir/refused.err; \
 	test ! -e $$dir/r.ckpt; \
-	echo "checkpoint refusal smoke: -j 2 / --dist-workers refused"; \
+	echo "checkpoint refusal smoke: -j 2 refused"; \
 	rm -rf $$dir
 	dune exec bin/ddt_cli.exe -- analyze rtl8029 --expect-clean \
 	  --rules unreachable-code,stack-imbalance,const-arg-contract > /dev/null

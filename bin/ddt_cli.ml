@@ -4,9 +4,10 @@
      list                      show the bundled driver corpus
      test <driver>             run DDT on a corpus driver (buggy variant)
      test --fixed <driver>     ... on the repaired variant
-     test --dist-workers N     ... across N worker processes
+     test -j N <driver>        ... on N worker domains (shared frontier)
      resume <ckpt>             resume an interrupted test session
-     serve                     run a Unix-socket test-job daemon
+     serve                     run a Unix-socket test-job daemon (jobs run
+                               in the daemon's process, on worker domains)
      submit <driver>           submit a job to a running daemon
      static <driver>           run the static-analysis baseline
      analyze <driver>          run the DXE static pre-analysis (ICFG)
@@ -40,17 +41,6 @@ let jobs_arg =
      domains (shared work-stealing frontier)."
   in
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-
-let dist_workers_arg =
-  let doc =
-    "Explore across $(docv) worker processes: a coordinator ships \
-     serialized states to idle workers, steals work back from busy ones, \
-     and merges the per-worker reports. The bug set is identical to a \
-     single-process run, even if workers are killed mid-run. With \
-     $(b,--store-dir), workers share solver work through the persistent \
-     store. 0 (the default) runs in-process."
-  in
-  Arg.(value & opt int 0 & info [ "dist-workers" ] ~docv:"N" ~doc)
 
 let find_entry short =
   match Corpus.find short with
@@ -105,8 +95,8 @@ let no_merge_flag =
 let checkpoint_every_arg =
   let doc =
     "Write a session checkpoint every $(docv) engine steps (0 disables). \
-     Needs a single in-process worker: refused together with $(b,-j) above \
-     1 or $(b,--dist-workers). A SIGKILL'd run restarted with \
+     Needs a single worker: refused together with $(b,-j) above 1. A \
+     SIGKILL'd run restarted with \
      $(b,resume) produces the same report as an uninterrupted one."
   in
   Arg.(value & opt int 0 & info [ "checkpoint-every" ] ~docv:"STEPS" ~doc)
@@ -183,11 +173,10 @@ let apply_session_flags cfg ~jobs ~guided ~chaos ~no_merge
 (* Checkpoints are only written by a single in-process worker (see
    [Session.checkpointable]); any other combination would silently leave
    nothing for [resume] to read. *)
-let refuse_checkpointing ~checkpoint_every ~jobs ~dist_workers =
-  if checkpoint_every > 0 && (jobs > 1 || dist_workers > 0) then begin
+let refuse_checkpointing ~checkpoint_every ~jobs =
+  if checkpoint_every > 0 && jobs > 1 then begin
     prerr_endline
-      "--checkpoint-every needs a single in-process worker: drop -j/--jobs \
-       above 1 and --dist-workers";
+      "--checkpoint-every needs a single worker: drop -j/--jobs above 1";
     true
   end
   else false
@@ -214,11 +203,11 @@ let report_result ~traces ~json_out r =
   if r.Ddt_core.Session.r_bugs = [] then 0 else 2
 
 let test_cmd =
-  let run short fixed no_annot traces jobs dist_workers guided chaos no_merge
+  let run short fixed no_annot traces jobs guided chaos no_merge
       checkpoint_every checkpoint_path store_dir no_persist json_out =
     match find_entry short with
     | Error e -> prerr_endline e; 1
-    | Ok _ when refuse_checkpointing ~checkpoint_every ~jobs ~dist_workers -> 1
+    | Ok _ when refuse_checkpointing ~checkpoint_every ~jobs -> 1
     | Ok entry ->
         let cfg =
           Corpus.config ~fixed ~use_annotations:(not no_annot) entry
@@ -228,28 +217,14 @@ let test_cmd =
             ~checkpoint_every ~checkpoint_path ~store_dir
             ~persist:(not no_persist)
         in
-        let r =
-          if dist_workers > 0 then begin
-            let r, c = Ddt_dist.Dist.run ~workers:dist_workers cfg in
-            Format.printf
-              "dist: %d worker process(es) | %d state(s) shipped | %d \
-               steal(s) moved %d state(s) | %d re-shipped after %d \
-               death(s) | %d store hit(s)@."
-              c.Ddt_dist.Dist.c_workers c.Ddt_dist.Dist.c_shipped
-              c.Ddt_dist.Dist.c_steals c.Ddt_dist.Dist.c_stolen_states
-              c.Ddt_dist.Dist.c_reships c.Ddt_dist.Dist.c_deaths
-              c.Ddt_dist.Dist.c_store_hits;
-            r
-          end
-          else Ddt_core.Ddt.test_driver cfg
-        in
+        let r = Ddt_core.Ddt.test_driver cfg in
         report_result ~traces ~json_out r
   in
   Cmd.v
     (Cmd.info "test" ~doc:"Test a driver binary with DDT")
     Term.(
       const run $ driver_arg $ fixed_flag $ no_annot_flag $ traces_flag
-      $ jobs_arg $ dist_workers_arg $ guided_flag $ chaos_flag
+      $ jobs_arg $ guided_flag $ chaos_flag
       $ no_merge_flag $ checkpoint_every_arg
       $ checkpoint_path_arg $ store_dir_arg $ no_persist_flag $ json_out_arg)
 
@@ -265,7 +240,7 @@ let resume_cmd =
   let run ckpt fixed no_annot traces jobs guided chaos no_merge
       checkpoint_every checkpoint_path store_dir no_persist json_out =
     match Ddt_core.Session.checkpoint_driver ckpt with
-    | _ when refuse_checkpointing ~checkpoint_every ~jobs ~dist_workers:0 -> 1
+    | _ when refuse_checkpointing ~checkpoint_every ~jobs -> 1
     | Error e -> Printf.eprintf "cannot read checkpoint: %s\n" e; 1
     | Ok name -> (
         match
@@ -336,14 +311,18 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve"
        ~doc:
-         "Run a Unix-socket daemon that accepts test jobs, runs each \
-          through the multi-process coordinator under resource-governor \
-          admission control, and streams JSON reports back")
+         "Run a Unix-socket daemon that accepts test jobs, runs each in \
+          the daemon's process on shared-frontier worker domains under \
+          resource-governor admission control, and streams JSON reports \
+          back")
     Term.(const run $ socket_arg $ max_jobs_arg $ store_dir_arg)
 
 let submit_cmd =
   let workers_arg =
-    let doc = "Worker processes for this job." in
+    let doc =
+      "Worker domains for this job (the daemon caps it at its core \
+       count)."
+    in
     Arg.(value & opt int 2 & info [ "workers" ] ~docv:"N" ~doc)
   in
   let run socket short fixed workers =

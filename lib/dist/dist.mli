@@ -1,41 +1,8 @@
-(** Multi-process exploration: snapshot-shipping coordinator with
-    work-stealing workers.
-
-    [run ~workers cfg] forks [workers] child processes of the current
-    binary, partitions each workload phase's fork tree by shipping
-    serialized states ({!Ddt_symexec.Symstate.image}) to idle workers,
-    rebalances by stealing from busy ones, and merges per-worker bug
-    sinks, coverage and statistics into one report whose sorted bug set
-    equals the single-process run's. Workers share solver work through
-    the persistent store ({!Ddt_solver.Pstore}): each flushes its
-    query-cache entries as it goes and lazily imports the others'.
-
-    Fault model: a worker that dies for any reason (crash, OOM killer,
-    [kill -9]) is detected by pipe EOF; every state it had been shipped
-    but had not yet reported is re-shipped from the coordinator's
-    ledger to the survivors — or explored locally if none remain. A
-    lost worker costs wall time, never a verdict. *)
-
-type counters = {
-  c_workers : int;        (** worker processes requested *)
-  c_shipped : int;        (** states shipped coordinator -> workers *)
-  c_steals : int;         (** non-empty steal transfers brokered *)
-  c_stolen_states : int;  (** states moved by those steals *)
-  c_reships : int;        (** states re-shipped after a worker death *)
-  c_deaths : int;         (** worker processes lost mid-run *)
-  c_store_hits : int;
-  (** query-cache hits on entries imported from the shared persistent
-      store (cross-process solver-work reuse) *)
-  c_wall : float;
-}
+(** Entry point kept for the benchmark harness ([ddtbench]), its only
+    caller; everything else calls {!Ddt_core.Session.run} directly. *)
 
 val run :
-  ?workers:int -> ?kill_worker:int -> Ddt_core.Config.t ->
-  Ddt_core.Session.result * counters
-(** Run one distributed session. [workers = 0] degenerates to a local
-    run through the same code path. [kill_worker] is deterministic
-    failure injection for the recovery tests: that worker is SIGKILLed
-    immediately after its first shipment, while its ledger is
-    non-empty. The configuration is normalized for distribution:
-    in-process [jobs] forced to 1 (fork safety), checkpointing off, and
-    the persistent store scoped under [<store_dir>/dist]. *)
+  ?workers:int -> Ddt_core.Config.t -> Ddt_core.Session.result * unit
+(** [run ~workers cfg] is {!Ddt_core.Session.run} on the shared
+    frontier with [max 1 workers] worker domains (default 2). The pair
+    shape is the one the harness destructures. *)

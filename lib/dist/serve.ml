@@ -1,9 +1,11 @@
-(* [ddt_cli serve]: a Unix-socket daemon that runs test jobs through
-   the distributed coordinator, and the matching [submit] client.
+(* [ddt_cli serve]: a Unix-socket daemon that runs each test job inside
+   its own process, on the shared frontier's worker domains, and the
+   matching [submit] client.
 
-   One job at a time (the coordinator already saturates the machine);
-   admission control is the resource [Governor] forced onto every job's
-   configuration. Responses are newline-delimited JSON: an acceptance
+   One job at a time (a job's worker domains already saturate the
+   machine); admission control forces the resource [Governor] onto every
+   job's configuration and caps its worker count at the cores the
+   runtime recommends. Responses are newline-delimited JSON: an acceptance
    (or error) object first, then the full schema report. The job
    request itself travels as one {!Proto} frame whose payload is a short
    line of text, checked field by field on decode: the daemon does not
@@ -13,11 +15,13 @@
 module Config = Ddt_core.Config
 module Governor = Ddt_core.Governor
 module Report_json = Ddt_core.Report_json
+module Session = Ddt_core.Session
+module Exec = Ddt_symexec.Exec
 
 type job = {
   jq_driver : string;
   jq_fixed : bool;       (* run the repaired variant *)
-  jq_workers : int;      (* worker processes for this job *)
+  jq_workers : int;      (* worker domains requested for this job *)
 }
 
 (* The request line: [ddt-job/1 <driver> <fixed 0|1> <workers>]. *)
@@ -77,11 +81,16 @@ let write_line fd s =
   go 0
 
 (* Admission control: every served job runs under the resource
-   governor, whatever its submitted configuration says. *)
-let admit (cfg : Config.t) =
-  match cfg.Config.governor with
-  | Some _ -> cfg
-  | None -> { cfg with Config.governor = Some Governor.default_limits }
+   governor, whatever its submitted configuration says, and on at most
+   as many worker domains as the runtime recommends for this machine. *)
+let admit job (cfg : Config.t) =
+  let cfg =
+    match cfg.Config.governor with
+    | Some _ -> cfg
+    | None -> { cfg with Config.governor = Some Governor.default_limits }
+  in
+  let jobs = max 1 (min job.jq_workers (Domain.recommended_domain_count ())) in
+  { cfg with Config.exec_config = { cfg.Config.exec_config with Exec.jobs } }
 
 let handle_client ~resolve fd =
   let conn = Proto.make ~fd_in:fd ~fd_out:fd in
@@ -97,18 +106,18 @@ let handle_client ~resolve fd =
              (Printf.sprintf "{\"serve\":\"error\",\"message\":\"%s\"}"
                 (json_escape e))
        | Ok cfg ->
-           let cfg = admit cfg in
+           let cfg = admit job cfg in
            write_line fd
              (Printf.sprintf
                 "{\"serve\":\"accepted\",\"driver\":\"%s\",\"workers\":%d}"
                 (json_escape cfg.Config.driver_name)
-                job.jq_workers);
-           let result, counters = Dist.run ~workers:job.jq_workers cfg in
+                cfg.Config.exec_config.Exec.jobs);
+           let t0 = Unix.gettimeofday () in
+           let result = Session.run cfg in
            write_line fd
-             (Printf.sprintf
-                "{\"serve\":\"done\",\"wall\":%.3f,\"shipped\":%d,\"steals\":%d,\"reships\":%d}"
-                counters.Dist.c_wall counters.Dist.c_shipped
-                counters.Dist.c_steals counters.Dist.c_reships);
+             (Printf.sprintf "{\"serve\":\"done\",\"wall\":%.3f,\"steals\":%d}"
+                (Unix.gettimeofday () -. t0)
+                result.Session.r_stats.Exec.st_steals);
            write_line fd
              (Report_json.to_string (Report_json.of_result result))));
   try Unix.close fd with Unix.Unix_error _ -> ()

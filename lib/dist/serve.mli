@@ -4,18 +4,23 @@
     The server accepts one framed {!job} per connection, sent as the
     text of {!job_to_string} and checked by {!job_of_string} (anything
     else gets an error line, and the daemon serves on), resolves it to
-    a configuration (corpus lookup lives in the caller), forces the
-    resource {!Ddt_core.Governor} onto it — admission control: a served
-    job can never run ungoverned — runs it through {!Dist.run}, and
-    streams newline-delimited JSON back: an acceptance object, a
-    completion object with the distribution counters, then the full
+    a configuration (corpus lookup lives in the caller), admits it —
+    the resource {!Ddt_core.Governor} is forced on, so a served job can
+    never run ungoverned, and its worker count is capped at
+    [Domain.recommended_domain_count ()] — runs it in the daemon's own
+    process through {!Ddt_core.Session.run} on that many shared-frontier
+    worker domains, and streams newline-delimited JSON back: an
+    acceptance object with the effective worker count, a completion
+    object with the job's wall time and frontier steals, then the full
     schema report ({!Ddt_core.Report_json}). Jobs run one at a time;
-    the coordinator already saturates the machine. *)
+    a job's worker domains already saturate the machine. *)
 
 type job = {
   jq_driver : string;
   jq_fixed : bool;       (** run the repaired variant *)
-  jq_workers : int;      (** worker processes for this job *)
+  jq_workers : int;
+  (** worker domains requested for this job; the daemon runs it on at
+      least 1 and at most [Domain.recommended_domain_count ()] *)
 }
 
 val job_to_string : job -> string

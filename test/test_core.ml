@@ -345,6 +345,44 @@ let test_diagnose_hardware_verdict () =
     (al.Ddt_checkers.Diagnose.a_hardware
      = Ddt_checkers.Diagnose.No_hardware_dependence)
 
+(* Shared-frontier parity on the whole corpus: a run on [jobs] worker
+   domains reports the same sorted bug keys as the sequential run. With
+   [store], the case runs again with a fresh persistent solver store
+   behind the query cache the worker domains share. *)
+module Corpus = Ddt_drivers.Corpus
+
+let corpus_keys ?store_dir ~jobs (e : Corpus.entry) =
+  let cfg = Corpus.config e in
+  let cfg =
+    { cfg with
+      Config.store_dir;
+      exec_config = { cfg.Config.exec_config with Exec.jobs } }
+  in
+  List.sort compare
+    (List.map (fun b -> b.Report.b_key) (Ddt.test_driver cfg).Session.r_bugs)
+
+let with_store_dir f =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "ddt_core_store_%d_%d" (Unix.getpid ()) (Random.bits ()))
+  in
+  Fun.protect
+    ~finally:(fun () -> ignore (Sys.command ("rm -rf " ^ Filename.quote dir)))
+    (fun () -> f dir)
+
+let parity_case ?(store = false) ~jobs short () =
+  let e = Corpus.find short in
+  let seq = corpus_keys ~jobs:1 e in
+  Alcotest.(check (list string))
+    (Printf.sprintf "%s: %d-worker bug set = sequential" short jobs)
+    seq (corpus_keys ~jobs e);
+  if store then
+    with_store_dir (fun dir ->
+        Alcotest.(check (list string))
+          (Printf.sprintf "%s: %d-worker bug set = sequential (fresh store)"
+             short jobs)
+          seq (corpus_keys ~store_dir:dir ~jobs e))
+
 let () =
   Alcotest.run "ddt_core"
     [ ("memcheck rules",
@@ -452,6 +490,20 @@ let () =
                        base (keys jobs entry))
                    [ 2; 4 ])
                [ "rtl8029"; "pcnet" ]) ]);
+      ("parity",
+       List.map
+         (fun (e : Corpus.entry) ->
+           let short = e.Corpus.short in
+           Alcotest.test_case
+             (Printf.sprintf "%s 2-worker parity" short)
+             `Quick
+             (parity_case ~store:(List.mem short [ "rtl8029"; "pcnet" ])
+                ~jobs:2 short))
+         Corpus.all
+       @ [ Alcotest.test_case "rtl8029 1-worker parity" `Quick
+             (parity_case ~store:true ~jobs:1 "rtl8029");
+           Alcotest.test_case "rtl8029 4-worker parity" `Quick
+             (parity_case ~jobs:4 "rtl8029") ]);
       ("diagnose",
        [ Alcotest.test_case "low-memory classification" `Quick
            test_diagnose_low_memory;

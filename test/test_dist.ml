@@ -1,33 +1,18 @@
-(* Distributed exploration: wire-protocol robustness, shared-store
-   concurrency, and bug-set parity between the multi-process
-   coordinator and the single-process oracle — including with a worker
-   SIGKILLed mid-run. *)
+(* The serve daemon: wire-framing robustness, job-request decoding,
+   admission control, and served reports against the sequential
+   oracle. *)
 
 open Ddt_core
 module Report = Ddt_checkers.Report
 module Corpus = Ddt_drivers.Corpus
 module Proto = Ddt_dist.Proto
-module Dist = Ddt_dist.Dist
 module Serve = Ddt_dist.Serve
 module Blob = Ddt_solver.Blob
-module Qcache = Ddt_solver.Qcache
-module Pstore = Ddt_solver.Pstore
-module Expr = Ddt_solver.Expr
 
 let bug_keys r =
   List.sort compare (List.map (fun b -> b.Report.b_key) r.Session.r_bugs)
 
 let oracle entry = Ddt.test_driver (Corpus.config entry)
-
-let check_parity ?kill_worker ?store_dir ~workers entry =
-  let seq = bug_keys (oracle entry) in
-  let cfg = { (Corpus.config entry) with Config.store_dir } in
-  let r, _ = Dist.run ~workers ?kill_worker cfg in
-  Alcotest.(check (list string))
-    (Printf.sprintf "%s: %d-worker bug set = sequential%s"
-       entry.Corpus.short workers
-       (if store_dir = None then "" else " (shared store)"))
-    seq (bug_keys r)
 
 (* {2 Wire framing} *)
 
@@ -110,13 +95,13 @@ let corrupt_payload_is_error () =
   Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0xff));
   match Proto.extract (Bytes.to_string b) with
   | Ok (Some (payload, _)) -> (
-      match Proto.decode_payload payload with
+      match Blob.decode payload with
       | Error _ -> ()
       | Ok (_ : int list) -> Alcotest.fail "corrupt payload decoded")
   | Ok None -> Alcotest.fail "complete frame not extracted"
   | Error _ -> ()
 
-(* {2 Shared persistent store under concurrent writers} *)
+(* {2 The daemon} *)
 
 let with_tmpdir f =
   let dir =
@@ -127,90 +112,6 @@ let with_tmpdir f =
   Fun.protect
     ~finally:(fun () -> ignore (Sys.command ("rm -rf " ^ Filename.quote dir)))
     (fun () -> f dir)
-
-(* Several processes saving overlapping entry sets into one store
-   directory must converge: every entry readable afterwards, no
-   partial files, racing writers of the same digest harmless. *)
-let concurrent_writers_converge () =
-  with_tmpdir (fun dir ->
-      let mk_cache n =
-        let c = Qcache.Sharded.create () in
-        for i = 0 to 63 do
-          let v = Expr.fresh_var ~name:(Printf.sprintf "w%d" i) Expr.W32 in
-          Qcache.Sharded.store_unsat c
-            [ Expr.cmp Expr.Eq (Expr.var v) (Expr.word (n + i)) ]
-        done;
-        c
-      in
-      let writers = 4 in
-      let pids =
-        List.init writers (fun w ->
-            match Unix.fork () with
-            | 0 ->
-                (* Overlapping sets: writers w and w+1 share half their
-                   entries, so same-digest races actually happen. *)
-                let c = mk_cache (w * 32) in
-                (match Pstore.open_store ~dir ~key:"conc" with
-                 | Ok s -> ignore (Pstore.save s c)
-                 | Error _ -> Unix._exit 1);
-                Unix._exit 0
-            | pid -> pid)
-      in
-      List.iter
-        (fun pid ->
-          match Unix.waitpid [] pid with
-          | _, Unix.WEXITED 0 -> ()
-          | _ -> Alcotest.fail "writer process failed")
-        pids;
-      match Pstore.open_store ~dir ~key:"conc" with
-      | Error e -> Alcotest.fail e
-      | Ok s ->
-          let c = Qcache.Sharded.create () in
-          let loaded = Pstore.load ~index_subsets:false s c in
-          Alcotest.(check int) "no unreadable entries" 0 (Pstore.skipped s);
-          Alcotest.(check bool)
-            (Printf.sprintf "all distinct entries present (loaded %d)" loaded)
-            true (loaded > 0))
-
-let refresh_sees_other_writers () =
-  with_tmpdir (fun dir ->
-      (* Distinct [base] ranges keep the two caches' renamed canonical
-         keys disjoint — entries already present refuse to re-import. *)
-      let mk_cache tag base n =
-        let c = Qcache.Sharded.create () in
-        for i = base to base + n - 1 do
-          let v = Expr.fresh_var ~name:(tag ^ string_of_int i) Expr.W32 in
-          Qcache.Sharded.store_unsat c
-            [ Expr.cmp Expr.Eq (Expr.var v) (Expr.word i) ]
-        done;
-        c
-      in
-      match
-        (Pstore.open_store ~dir ~key:"r", Pstore.open_store ~dir ~key:"r")
-      with
-      | Ok a, Ok b ->
-          let ca = mk_cache "a" 100 5 in
-          ignore (Pstore.load ~index_subsets:false a ca);
-          let wrote = Pstore.save b (mk_cache "b" 0 7) in
-          Alcotest.(check int) "writer flushed" 7 wrote;
-          let fresh = Pstore.refresh ~index_subsets:false a ca in
-          Alcotest.(check int) "reader imported the flush lazily" 7 fresh;
-          Alcotest.(check int) "second refresh is a no-op" 0
-            (Pstore.refresh ~index_subsets:false a ca)
-      | _ -> Alcotest.fail "open_store failed")
-
-(* {2 Coordinator parity} *)
-
-(* With [store], the case also runs with the workers sharing a fresh
-   persistent solver store. *)
-let parity_case ?(store = false) ~workers short () =
-  check_parity ~workers (Corpus.find short);
-  if store then
-    with_tmpdir (fun dir ->
-        check_parity ~store_dir:dir ~workers (Corpus.find short))
-
-let kill_case ~workers short () =
-  check_parity ~workers ~kill_worker:0 (Corpus.find short)
 
 (* Fork a daemon serving [max_jobs] connections on a fresh socket, run
    [f socket_path] against it, then reap it. *)
@@ -239,13 +140,14 @@ let with_daemon ~max_jobs f =
             ~finally:(fun () -> ignore (Unix.waitpid [] pid))
             (fun () -> f socket_path))
 
-(* Submit the rtl8029 job and check the streamed report against the
-   sequential oracle. *)
-let check_served_rtl8029 socket_path =
+(* Submit an rtl8029 job asking for [workers] worker domains, check the
+   streamed report against the sequential oracle, and return the worker
+   count the daemon's acceptance line reports. *)
+let check_served_rtl8029 ?(workers = 2) socket_path =
   let lines =
     match
       Serve.submit ~socket_path
-        { Serve.jq_driver = "rtl8029"; jq_fixed = false; jq_workers = 2 }
+        { Serve.jq_driver = "rtl8029"; jq_fixed = false; jq_workers = workers }
     with
     | Ok l -> l
     | Error e -> Alcotest.fail e
@@ -261,20 +163,39 @@ let check_served_rtl8029 socket_path =
   let seq = bug_keys (oracle (Corpus.find "rtl8029")) in
   Alcotest.(check (list string)) "served bug set = sequential" seq
     (List.sort compare
-       (List.map (fun b -> b.Report_json.jb_key) report.Report_json.j_bugs))
+       (List.map (fun b -> b.Report_json.jb_key) report.Report_json.j_bugs));
+  let prefix = "{\"serve\":\"accepted\"" in
+  match List.find_opt (String.starts_with ~prefix) lines with
+  | None -> Alcotest.fail "no acceptance line"
+  | Some l ->
+      (* the line ends with ["workers":N}] *)
+      let colon = String.rindex l ':' in
+      int_of_string (String.sub l (colon + 1) (String.length l - colon - 2))
 
-let serve_roundtrip () = with_daemon ~max_jobs:1 check_served_rtl8029
+let serve_roundtrip () =
+  with_daemon ~max_jobs:1 (fun p -> ignore (check_served_rtl8029 p))
 
-(* A frame carrying some other type (a version-skewed client, a stray
-   [Proto.send]) is answered with an error line, and the daemon goes on
-   to serve the next, valid job. *)
+(* A job may ask for any worker count the request format allows; the
+   daemon runs it on no more worker domains than the machine has
+   cores, and says so. *)
+let serve_clamps_workers () =
+  with_daemon ~max_jobs:1 (fun socket_path ->
+      let workers = check_served_rtl8029 ~workers:9999 socket_path in
+      Alcotest.(check bool)
+        (Printf.sprintf "effective workers %d within 1..%d" workers
+           (Domain.recommended_domain_count ()))
+        true
+        (workers >= 1 && workers <= Domain.recommended_domain_count ()))
+
+(* A frame carrying some other payload (a version-skewed client sending
+   a blob-encoded value) is answered with an error line, and the daemon
+   goes on to serve the next, valid job. *)
 let serve_refuses_foreign_frame () =
   with_daemon ~max_jobs:2 (fun socket_path ->
       let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
       Unix.connect fd (Unix.ADDR_UNIX socket_path);
-      (match Proto.send (Proto.make ~fd_in:fd ~fd_out:fd) 42 with
-       | Ok () -> ()
-       | Error e -> Alcotest.fail e);
+      let foreign = Proto.frame (Blob.encode 42) in
+      ignore (Unix.write_substring fd foreign 0 (String.length foreign));
       let reply = In_channel.input_all (Unix.in_channel_of_descr fd) in
       Unix.close fd;
       Alcotest.(check bool)
@@ -282,7 +203,7 @@ let serve_refuses_foreign_frame () =
         true
         (String.starts_with ~prefix:"{\"serve\":\"error\"" reply
          && String.index_opt reply '\n' = Some (String.length reply - 1));
-      check_served_rtl8029 socket_path)
+      ignore (check_served_rtl8029 socket_path))
 
 let job_request_decoding () =
   let job =
@@ -298,7 +219,7 @@ let job_request_decoding () =
       "ddt-job/1 pro1000 yes 3"; "ddt-job/1 pro1000 1 -2";
       "ddt-job/1 pro1000 1 0x10"; "ddt-job/1 pro1000 1 99999";
       "ddt-job/1 ../x\n 1 3"; "ddt-job/1  1 3"; "ddt-job/1 pro1000 1 3 x";
-      Proto.encode 42 ]
+      Proto.frame (Blob.encode 42) ]
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in
@@ -312,39 +233,6 @@ let () =
           Alcotest.test_case "corrupt length" `Quick corrupt_length_is_error;
           Alcotest.test_case "corrupt payload" `Quick corrupt_payload_is_error;
         ] );
-      ( "pstore",
-        [
-          Alcotest.test_case "concurrent writers converge" `Quick
-            concurrent_writers_converge;
-          Alcotest.test_case "refresh imports other writers lazily" `Quick
-            refresh_sees_other_writers;
-        ] );
-      ( "parity",
-        List.concat_map
-          (fun e ->
-            [
-              Alcotest.test_case
-                (Printf.sprintf "%s 2-worker parity" e.Corpus.short)
-                `Quick
-                (parity_case
-                   ~store:(List.mem e.Corpus.short [ "rtl8029"; "pcnet" ])
-                   ~workers:2 e.Corpus.short);
-            ])
-          Corpus.all
-        @ [
-            Alcotest.test_case "rtl8029 1-worker parity" `Quick
-              (parity_case ~store:true ~workers:1 "rtl8029");
-            Alcotest.test_case "rtl8029 4-worker parity" `Quick
-              (parity_case ~workers:4 "rtl8029");
-          ] );
-      ( "recovery",
-        List.map
-          (fun e ->
-            Alcotest.test_case
-              (Printf.sprintf "%s parity with worker 0 killed" e.Corpus.short)
-              `Quick
-              (kill_case ~workers:2 e.Corpus.short))
-          Corpus.all );
       ( "serve",
         [
           Alcotest.test_case "serve/submit roundtrip" `Quick serve_roundtrip;
@@ -352,5 +240,7 @@ let () =
             serve_refuses_foreign_frame;
           Alcotest.test_case "job request decoding" `Quick
             job_request_decoding;
+          Alcotest.test_case "oversized worker count clamped" `Quick
+            serve_clamps_workers;
         ] );
     ]

@@ -1,5 +1,5 @@
-(* Durability tests: checksummed blob containers, single-state
-   snapshot/restore, the persistent solver store, and session
+(* Durability tests: checksummed blob containers, the state image
+   round trip checkpoints take, the persistent solver store, and session
    checkpoint/kill-resume equivalence.
 
    The contract under test everywhere: a durability artifact that is
@@ -18,7 +18,6 @@ module Kstate = Ddt_kernel.Kstate
 module Pci = Ddt_kernel.Pci
 module Symmem = Ddt_symexec.Symmem
 module St = Ddt_symexec.Symstate
-module Snapshot = Ddt_symexec.Snapshot
 module Config = Ddt_core.Config
 module Session = Ddt_core.Session
 module Report_json = Ddt_core.Report_json
@@ -88,7 +87,7 @@ let test_blob_atomic_write_and_enospc () =
   | Ok s -> check_string "new contents" "version-2" s
   | Error e -> Alcotest.failf "final read: %s" e
 
-(* --- Snapshot round-trip --------------------------------------------------- *)
+(* --- State image round-trip ------------------------------------------------ *)
 
 let device () =
   Pci.assign_resources
@@ -170,6 +169,8 @@ let states_agree base (a : St.t) (b : St.t) =
       done;
       !ok)
 
+(* The path a checkpointed state takes: projected to its marshal-safe
+   image, sealed in a blob, decoded and rebuilt over the base memory. *)
 let test_snapshot_roundtrip =
   QCheck.Test.make ~count:60 ~name:"snapshot/restore round-trips states"
     (QCheck.make gen_ops ~print:(fun ops ->
@@ -178,64 +179,10 @@ let test_snapshot_roundtrip =
       let base = Mem.create () in
       Mem.write_u32 base 0x0060_0000 0xBEEF;
       let st = build_state base ops in
-      match Snapshot.restore ~base ~symdev:None (Snapshot.snapshot st) with
-      | Error e -> QCheck.Test.fail_reportf "restore failed: %s" e
-      | Ok st' -> states_agree base st st')
-
-(* Snapshot restore keeps minting fresh variables above everything the
-   snapshot used — a resumed state can never collide with new ones. *)
-let test_snapshot_var_counter () =
-  let base = Mem.create () in
-  let st = build_state base [ Constrain 7; WriteSym 3 ] in
-  let s = Snapshot.snapshot st in
-  let high = Expr.var_counter_value () in
-  Expr.reset_var_counter ();
-  match Snapshot.restore ~base ~symdev:None s with
-  | Error e -> Alcotest.failf "restore: %s" e
-  | Ok _ ->
-      check_bool "counter restored above snapshot's" true
-        (Expr.var_counter_value () >= high)
-
-let test_snapshot_corrupt_fuzz =
-  QCheck.Test.make ~count:120 ~name:"corrupted snapshots fail cleanly"
-    QCheck.(pair (make gen_ops) (pair small_nat small_nat))
-    (fun (ops, (pos_seed, flip)) ->
-      let base = Mem.create () in
-      let st = build_state base ops in
-      let s = Snapshot.snapshot st in
-      let b = Bytes.of_string s in
-      let pos = pos_seed mod Bytes.length b in
-      Bytes.set b pos
-        (Char.chr (Char.code (Bytes.get b pos) lxor (1 + (flip mod 255))));
-      is_error (Snapshot.restore ~base ~symdev:None (Bytes.to_string b)))
-
-let test_snapshot_save_load () =
-  let dir = tmpdir () in
-  let path = Filename.concat dir "st.snap" in
-  let base = Mem.create () in
-  let st = build_state base [ Write32 (8, 77); Fork; Constrain 3 ] in
-  (match Snapshot.save path st with
-   | Ok () -> ()
-   | Error e -> Alcotest.failf "save: %s" e);
-  (match Snapshot.load ~base ~symdev:None path with
-   | Ok st' -> check_bool "file round-trip" true (states_agree base st st')
-   | Error e -> Alcotest.failf "load: %s" e);
-  check_bool "missing file is a clean error" true
-    (is_error (Snapshot.load ~base ~symdev:None (path ^ ".nope")))
-
-(* A snapshot from an older format version is refused on its version
-   field, which leads the payload in every version; version 1 held
-   expressions as plain variants. *)
-let test_snapshot_old_version_refused () =
-  let dir = tmpdir () in
-  let path = Filename.concat dir "old.snap" in
-  (match Blob.write_file path (1, 42, [ 3; 4 ]) with
-   | Ok () -> ()
-   | Error e -> Alcotest.failf "write_file: %s" e);
-  let base = Mem.create () in
-  check_bool "refused" true
-    (Result.map (fun _ -> ()) (Snapshot.load ~base ~symdev:None path)
-    = Error "snapshot version 1, expected 2")
+      match Blob.decode (Blob.encode (St.to_image st)) with
+      | Error e -> QCheck.Test.fail_reportf "decode failed: %s" e
+      | Ok (im : St.image) ->
+          states_agree base st (St.of_image ~base ~symdev:None im))
 
 (* --- Persistent store ------------------------------------------------------ *)
 
@@ -333,6 +280,48 @@ let test_pstore_disk_full_read_only () =
   check_bool "store went read-only on first failure" false
     (Pstore.writable s1);
   check_bool "no further writes attempted" true (written < 8)
+
+(* Several processes saving overlapping entry sets into one store
+   directory must converge: every entry readable afterwards, no
+   partial files, racing writers of the same digest harmless. *)
+let test_pstore_concurrent_writers () =
+  let dir = tmpdir () in
+  let mk_cache n =
+    let c = Qcache.Sharded.create () in
+    for i = 0 to 63 do
+      let v = Expr.fresh_var ~name:(Printf.sprintf "w%d" i) Expr.W32 in
+      Qcache.Sharded.store_unsat c
+        [ Expr.cmp Expr.Eq (Expr.var v) (Expr.word (n + i)) ]
+    done;
+    c
+  in
+  let pids =
+    List.init 4 (fun w ->
+        match Unix.fork () with
+        | 0 ->
+            (* Overlapping sets: writers w and w+1 share half their
+               entries, so same-digest races actually happen. *)
+            let c = mk_cache (w * 32) in
+            (match Pstore.open_store ~dir ~key:"conc" with
+             | Ok s -> ignore (Pstore.save s c)
+             | Error _ -> Unix._exit 1);
+            Unix._exit 0
+        | pid -> pid)
+  in
+  List.iter
+    (fun pid ->
+      match Unix.waitpid [] pid with
+      | _, Unix.WEXITED 0 -> ()
+      | _ -> Alcotest.fail "writer process failed")
+    pids;
+  match Pstore.open_store ~dir ~key:"conc" with
+  | Error e -> Alcotest.fail e
+  | Ok s ->
+      let loaded = Pstore.load s (Qcache.Sharded.create ()) in
+      check_int "no unreadable entries" 0 (Pstore.skipped s);
+      check_bool
+        (Printf.sprintf "all distinct entries present (loaded %d)" loaded)
+        true (loaded > 0)
 
 (* --- Report JSON atomic write --------------------------------------------- *)
 
@@ -518,20 +507,15 @@ let () =
           Alcotest.test_case "truncations" `Quick test_blob_truncations;
           Alcotest.test_case "atomic write + disk full" `Quick
             test_blob_atomic_write_and_enospc ] );
-      ( "snapshot",
-        [ qtest test_snapshot_roundtrip;
-          Alcotest.test_case "variable counter" `Quick
-            test_snapshot_var_counter;
-          qtest test_snapshot_corrupt_fuzz;
-          Alcotest.test_case "save/load file" `Quick test_snapshot_save_load;
-          Alcotest.test_case "old snapshot version refused" `Quick
-            test_snapshot_old_version_refused ] );
+      ( "snapshot", [ qtest test_snapshot_roundtrip ] );
       ( "pstore",
         [ Alcotest.test_case "roundtrip" `Quick test_pstore_roundtrip;
           Alcotest.test_case "corruption only costs" `Quick
             test_pstore_corruption_only_costs;
           Alcotest.test_case "disk full makes it read-only" `Quick
-            test_pstore_disk_full_read_only ] );
+            test_pstore_disk_full_read_only;
+          Alcotest.test_case "concurrent writers converge" `Quick
+            test_pstore_concurrent_writers ] );
       ( "report-json",
         [ Alcotest.test_case "atomic write_file" `Quick
             test_report_json_write_file ] );
