@@ -325,7 +325,8 @@ let binop op a b =
   | _, Const (_, 0), (Add | Sub | Or | Xor | Shl | Lshr | Ashr) -> a
   | Const (_, 0), _, (Add | Or | Xor) -> b
   | _, Const (_, 0), (Mul | And) -> const w 0
-  | Const (_, 0), _, (Mul | And | Divu | Remu | Shl | Lshr | Ashr) -> const w 0
+  (* not [Divu]: 0 /u 0 is all ones *)
+  | Const (_, 0), _, (Mul | And | Remu | Shl | Lshr | Ashr) -> const w 0
   | _, Const (_, 1), (Mul | Divu) -> a
   | Const (_, 1), _, Mul -> b
   | _, Const (_, m), And when m = mask_of_width w -> a

@@ -108,38 +108,6 @@ let test_crash_incident_has_replay () =
         (i.Guard.inc_replay.Ddt_trace.Replay.rs_entry <> ""))
     crashes
 
-(* --- worker domains killed on the shared frontier --------------------------- *)
-
-(* Two worker domains at the full default budgets, with every 25th pick
-   crashing the worker that made it: each crash requeues its state and
-   restarts the worker, so the run must report the sequential fault-free
-   bug set. Unlike the jobs = 1 tests above, which worker dies varies
-   from run to run; the verdict must not. *)
-let recovery_case short () =
-  let e = Corpus.find short in
-  let cfg = Corpus.config e in
-  let oracle = Session.run cfg in
-  let r =
-    Session.run
-      { cfg with
-        Config.exec_config =
-          { cfg.Config.exec_config with
-            Exec.jobs = 2;
-            chaos =
-              Some
-                { Guard.chaos_worker_crash_period = 25;
-                  chaos_solver_exhaust_period = 0;
-                  chaos_pressure_words = 0 } } }
-  in
-  Alcotest.(check (list string))
-    (short ^ " bug set with worker domains killed = sequential")
-    (bug_keys oracle) (bug_keys r);
-  check_int (short ^ " one restart per crash")
-    (count_kind Guard.Worker_crash r)
-    r.Session.r_stats.Exec.st_worker_restarts;
-  check_bool (short ^ " finished states nonzero") true
-    (r.Session.r_finished_states > 0)
-
 (* --- injected solver budget exhaustion ------------------------------------- *)
 
 let test_solver_exhaustion () =
@@ -223,15 +191,6 @@ let () =
            test_worker_crashes;
          Alcotest.test_case "crash incidents carry a replay" `Quick
            test_crash_incident_has_replay ]);
-      (* The case names come from the multi-process tier these cases
-         replace, which SIGKILLed worker process 0. *)
-      ("recovery",
-       List.map
-         (fun (e : Corpus.entry) ->
-           Alcotest.test_case
-             (Printf.sprintf "%s parity with worker 0 killed" e.Corpus.short)
-             `Quick (recovery_case e.Corpus.short))
-         Corpus.all);
       ("solver-exhaustion",
        [ Alcotest.test_case "bug sets identical, retries recover" `Quick
            test_solver_exhaustion ]);

@@ -1,6 +1,6 @@
 (* The serve daemon: wire-framing robustness, job-request decoding,
-   admission control, and served reports against the sequential
-   oracle. *)
+   admission control, served reports against the sequential oracle, and
+   worker-domain recovery. *)
 
 open Ddt_core
 module Report = Ddt_checkers.Report
@@ -8,6 +8,8 @@ module Corpus = Ddt_drivers.Corpus
 module Proto = Ddt_dist.Proto
 module Serve = Ddt_dist.Serve
 module Blob = Ddt_solver.Blob
+module Exec = Ddt_symexec.Exec
+module Guard = Ddt_symexec.Guard
 
 let bug_keys r =
   List.sort compare (List.map (fun b -> b.Report.b_key) r.Session.r_bugs)
@@ -100,6 +102,46 @@ let corrupt_payload_is_error () =
       | Ok (_ : int list) -> Alcotest.fail "corrupt payload decoded")
   | Ok None -> Alcotest.fail "complete frame not extracted"
   | Error _ -> ()
+
+(* {2 Worker recovery}
+
+   A served job runs on shared-frontier worker domains, so a worker that
+   dies must not change its verdict. Two worker domains at the full
+   default budgets, with every 25th pick crashing the worker that made
+   it: each crash requeues its state and restarts the worker, and the run
+   must report the sequential fault-free bug set. Which worker dies
+   varies from run to run; the verdict must not. The case names come
+   from the multi-process tier these cases replace, which SIGKILLed
+   worker process 0. *)
+
+let recovery_case short () =
+  let e = Corpus.find short in
+  let cfg = Corpus.config e in
+  let r =
+    Session.run
+      { cfg with
+        Config.exec_config =
+          { cfg.Config.exec_config with
+            Exec.jobs = 2;
+            chaos =
+              Some
+                { Guard.chaos_worker_crash_period = 25;
+                  chaos_solver_exhaust_period = 0;
+                  chaos_pressure_words = 0 } } }
+  in
+  Alcotest.(check (list string))
+    (short ^ " bug set with worker domains killed = sequential")
+    (bug_keys (oracle e)) (bug_keys r);
+  let crashes =
+    List.length
+      (List.filter
+         (fun (i : Report.incident) -> i.Guard.inc_kind = Guard.Worker_crash)
+         r.Session.r_incidents)
+  in
+  Alcotest.(check int) (short ^ " one restart per crash") crashes
+    r.Session.r_stats.Exec.st_worker_restarts;
+  Alcotest.(check bool) (short ^ " finished states nonzero") true
+    (r.Session.r_finished_states > 0)
 
 (* {2 The daemon} *)
 
@@ -243,4 +285,13 @@ let () =
           Alcotest.test_case "oversized worker count clamped" `Quick
             serve_clamps_workers;
         ] );
+      (* Last: these cases start worker domains, after which the
+         daemon tests could no longer fork. *)
+      ( "recovery",
+        List.map
+          (fun e ->
+            Alcotest.test_case
+              (Printf.sprintf "%s parity with worker 0 killed" e.Corpus.short)
+              `Quick (recovery_case e.Corpus.short))
+          Corpus.all );
     ]
