@@ -11,16 +11,19 @@ test:
 # Tier-1 verification plus end-to-end smokes:
 # - one traced `ddtbench` corpus leg: every corpus driver at the default
 #   config, then with each optional layer changed (merging off, -j 2 —
-#   its "dist" leg runs -j 2 too, through `Dist.run` — checkpointing, a
+#   the harness's "dist" leg is a second -j 2 run — checkpointing, a
 #   warm solver store), each bug set checked against the recorded
 #   oracle; the last line must read "correct":true with no failed
 #   session;
 # - serve: a serve/submit round trip over a Unix socket streams back a
 #   schema report whose sorted bug keys equal a sequential run's;
-# - durability: a SIGKILL'd checkpointing run finished by `ddt_cli
-#   resume` reproduces the uninterrupted report byte for byte; a second
-#   run against the persistent store hits it and reports the same;
-#   checkpointing combined with -j 2 is refused;
+# - durability: on pro100 and on pro1000 (whose open merge tokens must
+#   come back from the checkpoint), a checkpointing run is SIGKILL'd as
+#   soon as its first checkpoint is on disk and must die by that signal
+#   (status 137, so a run that finished first fails the smoke); `ddt_cli
+#   resume` then reproduces the uninterrupted report byte for byte. A
+#   second run against the persistent store hits it and reports the
+#   same; checkpointing combined with -j 2 is refused;
 # - the static pre-analysis: zero findings on two known-clean drivers
 #   (rtl8029's buggy variant legitimately fires the interprocedural race
 #   rule, so its smoke is scoped to the syntactic families) and under
@@ -50,15 +53,24 @@ check: build test
 	echo "serve smoke: served report's bug keys identical to a sequential run"; \
 	rm -rf $$dir
 	@set -e; dir=$$(mktemp -d); cli=./_build/default/bin/ddt_cli.exe; \
-	$$cli test pro100 --json-out $$dir/oracle.json >/dev/null || [ $$? -eq 2 ]; \
-	$$cli test pro100 --checkpoint-every 1000 \
-	  --checkpoint $$dir/p.ckpt >/dev/null 2>&1 & pid=$$!; \
-	sleep 0.3; kill -9 $$pid 2>/dev/null || true; wait $$pid || true; \
-	test -f $$dir/p.ckpt; \
-	$$cli resume $$dir/p.ckpt --json-out $$dir/resumed.json >/dev/null \
-	  || [ $$? -eq 2 ]; \
-	cmp $$dir/oracle.json $$dir/resumed.json; \
-	echo "kill-resume smoke: resumed report byte-identical"; \
+	for d in pro100 pro1000; do \
+	  $$cli test $$d --json-out $$dir/$$d.oracle.json >/dev/null \
+	    || [ $$? -eq 2 ]; \
+	  $$cli test $$d --checkpoint-every 1000 \
+	    --checkpoint $$dir/$$d.ckpt >/dev/null 2>&1 & pid=$$!; \
+	  for i in $$(seq 1 1000); do test -f $$dir/$$d.ckpt && break; \
+	    sleep 0.01; done; \
+	  kill -9 $$pid 2>/dev/null || true; \
+	  rc=0; wait $$pid 2>/dev/null || rc=$$?; \
+	  if [ $$rc -ne 137 ]; then \
+	    echo "kill-resume smoke: $$d not killed mid-run (status $$rc)"; \
+	    exit 1; fi; \
+	  test -f $$dir/$$d.ckpt; \
+	  $$cli resume $$dir/$$d.ckpt --json-out $$dir/$$d.resumed.json \
+	    >/dev/null || [ $$? -eq 2 ]; \
+	  cmp $$dir/$$d.oracle.json $$dir/$$d.resumed.json; \
+	  echo "kill-resume smoke: $$d killed mid-run, resumed report byte-identical"; \
+	done; \
 	$$cli test rtl8029 --store-dir $$dir/store \
 	  --json-out $$dir/cold.json >/dev/null || [ $$? -eq 2 ]; \
 	$$cli test rtl8029 --store-dir $$dir/store \

@@ -1,6 +1,9 @@
-(* Union-find over variable ids, with path compression. The structures are
-   rebuilt per call: constraint sets are short (tens of entries) and the
-   dominant cost is solving, not slicing. *)
+(* Two union-finds over variable ids. [partition] and [relevant] build a
+   mutable one with path compression per call, over the whole list: the
+   solver partitions every query it is handed, and both serve as the
+   reference the persistent {!index} is tested against. The engine keeps
+   an {!index} per state instead, so slicing a query costs the groups it
+   touches, not the path condition. *)
 
 module IH = Hashtbl.Make (struct
   type t = int
@@ -104,3 +107,78 @@ let relevant cs e =
       | None -> None
       | Some id -> if List.mem (find uf id) roots then Some c else None)
     creps
+
+(* --- the persistent per-state index ------------------------------------- *)
+(* A union-find over variable ids in an immutable map: union by size and
+   no path compression, so [add] returns a new index and every older one
+   (a forked sibling's, a merge token's base) stays valid and shares all
+   untouched structure. A root carries its group's constraints tagged
+   with their insertion number, newest first; group lists are merged by
+   tag, so the lists that survive a union share their tails with the
+   ones they came from. A ground constraint (no variables) gets a number
+   but no group: [relevant] never returns one either. *)
+
+module IM = Map.Make (Int)
+
+type entry =
+  | Link of int                            (* parent variable id *)
+  | Root of int * (int * Expr.t) list      (* size, group newest first *)
+
+type index = { uf : entry IM.t; next : int }
+
+let empty = { uf = IM.empty; next = 0 }
+
+(* A variable the index has never seen is a singleton root. *)
+let rec root uf id =
+  match IM.find_opt id uf with
+  | Some (Link p) -> root uf p
+  | Some (Root (size, cs)) -> (id, size, cs)
+  | None -> (id, 1, [])
+
+(* Merge two lists sorted by descending tag; the remainder of whichever
+   list outlasts the other is shared, not copied. *)
+let merge_tagged a b =
+  let rec go acc a b =
+    match a, b with
+    | [], rest | rest, [] -> List.rev_append acc rest
+    | ((ta, _) as x) :: a', ((tb, _) as y) :: b' ->
+        if ta > tb then go (x :: acc) a' b else go (y :: acc) a b'
+  in
+  match a, b with [], l | l, [] -> l | _ -> go [] a b
+
+let distinct_roots uf vars =
+  List.fold_left
+    (fun acc (v : Expr.var) ->
+      let ((r, _, _) as x) = root uf v.Expr.id in
+      if List.exists (fun (r', _, _) -> r' = r) acc then acc else x :: acc)
+    [] vars
+
+let add idx c =
+  let tag = idx.next in
+  match distinct_roots idx.uf (Expr.vars c) with
+  | [] -> { idx with next = tag + 1 }
+  | first :: rest ->
+      (* The largest group's root becomes the root of the union. *)
+      let r0, size0, cs0 =
+        List.fold_left
+          (fun ((_, sb, _) as b) ((_, s, _) as x) -> if s > sb then x else b)
+          first rest
+      in
+      let uf, size, cs =
+        List.fold_left
+          (fun ((uf, size, cs) as acc) (r, s, cs') ->
+            if r = r0 then acc
+            else (IM.add r (Link r0) uf, size + s, merge_tagged cs cs'))
+          (idx.uf, size0, cs0) (first :: rest)
+      in
+      { uf = IM.add r0 (Root (size, (tag, c) :: cs)) uf; next = tag + 1 }
+
+let of_list cs = List.fold_right (fun c idx -> add idx c) cs empty
+
+let slice idx e =
+  match distinct_roots idx.uf (Expr.vars e) with
+  | [] -> []
+  | [ (_, _, cs) ] -> List.map snd cs
+  | (_, _, cs) :: rest ->
+      List.map snd
+        (List.fold_left (fun acc (_, _, cs') -> merge_tagged acc cs') cs rest)

@@ -1,6 +1,7 @@
 module Expr = Ddt_solver.Expr
 module Simplify = Ddt_solver.Simplify
 module Solver = Ddt_solver.Solver
+module Indep = Ddt_solver.Indep
 module Isa = Ddt_dvm.Isa
 module Layout = Ddt_dvm.Layout
 module Image = Ddt_dvm.Image
@@ -436,6 +437,23 @@ let add_state eng st =
 
 (* --- expression helpers ------------------------------------------------ *)
 
+(* Queries ask about the slice, not the path condition. A constraint
+   enters a path condition (always through [St.add_constraint], or a
+   merge's [St.set_constraints]) in one of two ways:
+   - after [c :: slice c] was found feasible ([fork_bool], [assume]);
+   - satisfiable by construction: a concretize pin [e = v] with [v] taken
+     from a model of [slice e], a replay pin on a variable created just
+     now, or a merge's disjunction of two suffixes that were each
+     feasible on top of the token's base.
+   By induction every path condition is Sat, and so is every group of it.
+   The groups outside [slice x] share no variable with [x], so they can
+   change neither the verdict on [x :: pc] nor the values a model gives
+   [x]'s variables: a model of [x :: slice x] extends to one of
+   [x :: pc] with any model of the rest. Four sites need a model of the
+   whole path condition and query it in full: [replay_script] (both
+   checks: the script pins every symbolic input), the governor's
+   soft-retire witness and the crash dump (both print the values of
+   inputs from across the whole path). *)
 let concretize st e reason =
   let e = Simplify.simplify e in
   match Expr.to_const e with
@@ -443,21 +461,26 @@ let concretize st e reason =
   | None -> (
       (* Solver-bound anyway: prune under the path condition first, so
          ites lifted by a merge collapse once their guard has been
-         re-decided by a later branch (often back to a constant). *)
-      let e = Simplify.prune ~under:st.St.constraints e in
-      match Expr.to_const e with
+         re-decided by a later branch (often back to a constant). A
+         constraint that prune can use occurs verbatim in [e], so it
+         shares a variable with [e]: its slice is all prune needs. *)
+      let under = Indep.slice st.St.index e in
+      let e' = Simplify.prune ~under e in
+      match Expr.to_const e' with
       | Some v -> v
       | None ->
-      match Solver.concretize st.St.constraints e with
+      let slice = if e' == e then under else Indep.slice st.St.index e' in
+      match Solver.concretize slice e' with
       | None -> raise (Discard_state "infeasible path condition")
       | Some v ->
           St.add_constraint st
-            (Expr.cmp Expr.Eq e (Expr.const (Expr.width_of e) v));
+            (Expr.cmp Expr.Eq e' (Expr.const (Expr.width_of e') v));
           St.record st
-            (Event.E_concretize { pc = st.St.pc; expr = e; value = v; reason });
+            (Event.E_concretize { pc = st.St.pc; expr = e'; value = v; reason });
           v)
 
-let feasible st extra = Solver.is_feasible (extra :: st.St.constraints)
+let feasible st extra =
+  Solver.is_feasible (extra :: Indep.slice st.St.index extra)
 
 (* Split on a boolean condition. Returns the live successors, each paired
    with the condition's value on that path. The input state is reused for
@@ -938,7 +961,7 @@ let step eng st =
         (* Captured before [fork_bool] conses either arm's constraint:
            the physical sync point suffix extraction walks back to when
            the arms are fused at the merge point. *)
-        let cs_before = st.St.constraints in
+        let cs_before = st.St.constraints and idx_before = st.St.index in
         let successors = fork_bool eng st taken_cond in
         let forked = List.length successors > 1 in
         (* Two feasible arms that reconverge: open a merge token before
@@ -951,7 +974,7 @@ let step eng st =
                | Some mpc when mpc <> pc ->
                    ignore
                      (Merge.open_token eng.pool ~branch_pc:pc ~merge_pc:mpc
-                        ~base:cs_before a b)
+                        ~base:cs_before ~base_idx:idx_before a b)
                | _ -> ())
            | _ -> ());
         List.iter

@@ -43,6 +43,9 @@ type token = {
   tk_base : Expr.t list;          (* constraint-list cell captured before
                                      the fork: the physical sync point
                                      suffix extraction walks to *)
+  tk_base_idx : Ddt_solver.Indep.index;
+                                  (* [tk_base]'s independence index, so a
+                                     fused survivor's is one [add] away *)
   tk_kcalls : int;                (* kernel-call count at open; an arm
                                      that called the kernel is refused *)
   mutable tk_outstanding : int;   (* live carriers not yet parked *)
@@ -183,7 +186,9 @@ let try_fuse t tok (a : St.t) (b : St.t) =
             false
           else begin
             (* all checks passed: lift and absorb *)
-            a.St.constraints <- Expr.or1 ga gb :: tok.tk_base;
+            let guard = Expr.or1 ga gb in
+            St.set_constraints a (guard :: tok.tk_base)
+              (Ddt_solver.Indep.add tok.tk_base_idx guard);
             List.iter
               (fun r ->
                 a.St.regs.(r) <- Expr.ite gb b.St.regs.(r) a.St.regs.(r);
@@ -278,10 +283,11 @@ let fold_worklist t work =
 
 (* Open a token for a fresh two-way fork at [branch_pc] whose arms
    reconverge at [merge_pc]. [base] is the parent's constraint list as
-   captured *before* the fork added either arm's constraint. Returns
-   false (and tags nothing) when the per-branch history says merging
-   here keeps getting refused. *)
-let open_token t ~branch_pc ~merge_pc ~base (a : St.t) (b : St.t) =
+   captured *before* the fork added either arm's constraint, [base_idx]
+   its index. Returns false (and tags nothing) when the per-branch
+   history says merging here keeps getting refused. *)
+let open_token t ~branch_pc ~merge_pc ~base ~base_idx (a : St.t)
+    (b : St.t) =
   Mutex.lock t.lock;
   let bs = bstat t branch_pc in
   let ok =
@@ -294,7 +300,8 @@ let open_token t ~branch_pc ~merge_pc ~base (a : St.t) (b : St.t) =
     t.next_token <- id + 1;
     let tok =
       { tk_id = id; tk_branch_pc = branch_pc; tk_merge_pc = merge_pc;
-        tk_base = base; tk_kcalls = Ddt_kernel.Kstate.kcall_count a.St.ks;
+        tk_base = base; tk_base_idx = base_idx;
+        tk_kcalls = Ddt_kernel.Kstate.kcall_count a.St.ks;
         tk_outstanding = 2; tk_parked = [] }
     in
     Hashtbl.replace t.tokens id tok;
@@ -489,6 +496,7 @@ let restore t ~f d =
           tk_branch_pc = td.td_branch_pc;
           tk_merge_pc = td.td_merge_pc;
           tk_base = td.td_base;
+          tk_base_idx = Ddt_solver.Indep.of_list td.td_base;
           tk_kcalls = td.td_kcalls;
           tk_outstanding = td.td_outstanding;
           tk_parked = List.map f td.td_parked;

@@ -40,12 +40,16 @@ val open_token :
   branch_pc:int ->
   merge_pc:int ->
   base:Ddt_solver.Expr.t list ->
+  base_idx:Ddt_solver.Indep.index ->
   Symstate.t ->
   Symstate.t ->
   bool
 (** Open a token for a fresh two-way fork whose arms reconverge at
     [merge_pc]. [base] is the parent's constraint list captured before
-    the fork consed either arm's constraint. Tags both states and
+    the fork consed either arm's constraint, and [base_idx] its
+    {!Ddt_solver.Indep.index}: a fused survivor's path condition is one
+    disjunction consed onto [base], and its index one
+    {!Ddt_solver.Indep.add} onto [base_idx]. Tags both states and
     returns [true], or returns [false] without tagging when the
     per-branch history says merging here keeps getting refused (or the
     states' tag stacks are already at the nesting cap). *)

@@ -1,4 +1,5 @@
 module Expr = Ddt_solver.Expr
+module Indep = Ddt_solver.Indep
 
 type crash = {
   c_code : string;
@@ -41,6 +42,7 @@ type t = {
   mutable int_enabled : bool;
   mem : Symmem.t;
   mutable constraints : Expr.t list;
+  mutable index : Indep.index;
   ks : Ddt_kernel.Kstate.t;
   mutable pending : post_action list;
   mutable trace : Ddt_trace.Event.t list;
@@ -68,6 +70,7 @@ let create ~id ~mem ~ks =
     int_enabled = true;
     mem;
     constraints = [];
+    index = Indep.empty;
     ks;
     pending = [];
     trace = [];
@@ -168,6 +171,7 @@ let of_image ~base ~symdev im =
     int_enabled = im.im_int_enabled;
     mem = Symmem.of_image ~base ~symdev im.im_mem;
     constraints = im.im_constraints;
+    index = Indep.of_list im.im_constraints;
     ks = im.im_ks;
     pending = im.im_pending;
     trace = im.im_trace;
@@ -187,7 +191,14 @@ let of_image ~base ~symdev im =
   }
 
 let record t ev = t.trace <- ev :: t.trace
-let add_constraint t c = t.constraints <- c :: t.constraints
+let add_constraint t c =
+  t.constraints <- c :: t.constraints;
+  t.index <- Indep.add t.index c
+
+let set_constraints t constraints index =
+  t.constraints <- constraints;
+  t.index <- index
+
 let reg_get t r = t.regs.(r)
 let reg_set t r e = t.regs.(r) <- e
 let terminated t = t.status <> None

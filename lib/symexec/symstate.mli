@@ -4,6 +4,7 @@
     stack of pending interrupt continuations, and the execution trace. *)
 
 module Expr = Ddt_solver.Expr
+module Indep = Ddt_solver.Indep
 
 type crash = {
   c_code : string;
@@ -47,6 +48,12 @@ type t = {
   mutable int_enabled : bool;
   mem : Symmem.t;
   mutable constraints : Expr.t list;
+  (** the path condition, newest first; written only by
+      {!add_constraint} and {!set_constraints} *)
+  mutable index : Indep.index;
+  (** the independence groups of [constraints], kept in step with it;
+      immutable, so {!fork} shares it and later adds never disturb a
+      sibling's *)
   ks : Ddt_kernel.Kstate.t;
   mutable pending : post_action list;
   mutable trace : Ddt_trace.Event.t list;       (** newest first *)
@@ -96,9 +103,16 @@ val of_image :
   image ->
   t
 (** Rebuild a state over the session's base image and device, with a
-    no-op sym-read hook (the engine reinstalls its own). *)
+    no-op sym-read hook (the engine reinstalls its own). The index is
+    not part of the image; it is rebuilt from the constraints. *)
 val record : t -> Ddt_trace.Event.t -> unit
 val add_constraint : t -> Expr.t -> unit
+(** Cons a constraint onto the path condition and its index. *)
+
+val set_constraints : t -> Expr.t list -> Indep.index -> unit
+(** Replace the path condition wholesale (a merge's fused survivor). The
+    index must be the one of that list, e.g. {!Indep.add} of the index
+    of a prefix it shares. *)
 val reg_get : t -> int -> Expr.t
 val reg_set : t -> int -> Expr.t -> unit
 val terminated : t -> bool

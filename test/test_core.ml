@@ -205,19 +205,32 @@ let test_timer_workload () =
   check_bool "timer handler ran and crashed" true
     (List.mem Report.Segfault (kinds r))
 
+(* Every dynamic bug of the corpus (15 over the seven drivers): its
+   replay script, run as a session of its own, reports the bug's key.
+   Concretized values come from models of the queried slice only, so
+   this guards that the scripts built from them still drive each path. *)
 let test_replay_reproduces () =
-  let entry = Ddt_drivers.Corpus.find "rtl8029" in
-  let r = Ddt.test_driver (Ddt_drivers.Corpus.config entry) in
-  let bug = List.hd r.Session.r_bugs in
-  let cfg2 =
-    { (Ddt_drivers.Corpus.config entry) with
-      Config.replay = Some bug.Report.b_replay }
-  in
-  let r2 = Ddt.test_driver cfg2 in
-  check_bool "replay reproduces the bug" true
-    (List.exists
-       (fun b -> b.Report.b_key = bug.Report.b_key)
-       r2.Session.r_bugs)
+  let replayed = ref 0 in
+  List.iter
+    (fun (entry : Ddt_drivers.Corpus.entry) ->
+      let cfg = Ddt_drivers.Corpus.config entry in
+      let r = Ddt.test_driver cfg in
+      List.iter
+        (fun bug ->
+          let r2 =
+            Ddt.test_driver
+              { cfg with Config.replay = Some bug.Report.b_replay }
+          in
+          incr replayed;
+          check_bool
+            (Printf.sprintf "replay reproduces %s" bug.Report.b_key)
+            true
+            (List.exists
+               (fun b -> b.Report.b_key = bug.Report.b_key)
+               r2.Session.r_bugs))
+        r.Session.r_bugs)
+    Ddt_drivers.Corpus.all;
+  check_int "dynamic corpus bugs replayed" 15 !replayed
 
 let test_coverage_counts_consistent () =
   let entry = Ddt_drivers.Corpus.find "pcnet" in

@@ -125,7 +125,8 @@ let sibling_pair () =
 
 let open_or_fail pool base a b =
   check_bool "token opened" true
-    (Merge.open_token pool ~branch_pc:0x100 ~merge_pc:0x200 ~base a b)
+    (Merge.open_token pool ~branch_pc:0x100 ~merge_pc:0x200 ~base
+       ~base_idx:(Indep.of_list base) a b)
 
 let park_first pool st =
   match Merge.on_arrival pool st with
@@ -161,7 +162,10 @@ let test_fuse_lifts_to_ite () =
    | d :: rest ->
        check_bool "token base kept physically" true (rest == base_cs);
        check_bool "guards disjoined" true
-         (match d.Expr.node with Expr.Binop (Expr.Or, _, _) -> true | _ -> false)
+         (match d.Expr.node with Expr.Binop (Expr.Or, _, _) -> true | _ -> false);
+       check_bool "survivor's index slices its constraints" true
+         (List.equal ( == ) (Indep.slice s.St.index d)
+            (Indep.relevant s.St.constraints d))
    | [] -> Alcotest.fail "fused state has no constraints");
   let merged, ites, _, refused = Merge.stats pool in
   check_int "one fusion" 1 merged;

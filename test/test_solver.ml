@@ -515,6 +515,134 @@ let test_indep_equisat () =
       check_bool "unsliced unsat" true
         (Solver.check unsat_set = Solver.Unsat))
 
+(* --- Indep: the persistent per-state index ------------------------------ *)
+
+(* A constraint over at most two of a few shared variables, built fresh
+   from a generated spec. An index past the pool stands for a constant,
+   so some constraints are ground. *)
+let indep_constraint pool (op, a, b, k) =
+  let open Expr in
+  let ops = [| Eq; Ne; Ltu; Leu; Lts; Les |] in
+  let term i =
+    if i < Array.length pool then zext (var pool.(i)) else word (i land 7)
+  in
+  cmp ops.(op mod 6) (binop Add (term a) (term b)) (word k)
+
+let gen_indep_clause =
+  QCheck.Gen.(
+    quad (int_bound 5) (int_bound 6) (int_bound 6) (int_bound 300))
+
+(* Property: the index grown the way the engine grows it — adds, forks
+   that share it, merge-style re-adds onto an earlier prefix's index, and
+   [of_list] rebuilds — slices exactly as the reference [relevant] does
+   on the plain list: the same physical constraints, in order. *)
+let prop_index_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 1 40)
+        (triple (int_bound 5) (int_bound 7)
+           (pair gen_indep_clause gen_indep_clause)))
+  in
+  QCheck.Test.make ~count:300 ~name:"index slice = relevant"
+    (QCheck.make gen)
+    (fun ops ->
+      let open Expr in
+      let pool = Array.init 5 (fun _ -> fresh_var W8) in
+      (* A state: its index, its path condition (newest first) and every
+         earlier (index, path condition) of its lineage — the prefixes a
+         merge token can restart from. *)
+      let states = ref [| (Indep.empty, [], []) |] in
+      let queries =
+        List.init 5 (fun i -> var pool.(i))
+        @ [ binop Add (zext (var pool.(0))) (zext (var pool.(3)));
+            binop Mul (zext (var pool.(1))) (zext (var pool.(4)));
+            word 3 ]
+      in
+      let agrees (idx, cs, _) =
+        List.for_all
+          (fun e ->
+            List.equal ( == ) (Indep.slice idx e) (Indep.relevant cs e))
+          queries
+      in
+      List.for_all
+        (fun (kind, pick, (c1, c2)) ->
+          let n = Array.length !states in
+          let i = pick mod n in
+          let ((idx, cs, hist) as st) = !states.(i) in
+          let push c = (Indep.add idx c, c :: cs, (idx, cs) :: hist) in
+          (match kind with
+           | 0 | 1 -> !states.(i) <- push (indep_constraint pool c1)
+           | 2 -> states := Array.append !states [| st |]
+           | 3 ->
+               (* the same constraint cell added twice *)
+               (match cs with
+                | c :: _ -> !states.(i) <- push c
+                | [] -> !states.(i) <- push (indep_constraint pool c1))
+           | 4 ->
+               (* a fused survivor: one disjunction onto a prefix *)
+               let bidx, bcs =
+                 match hist with
+                 | [] -> (idx, cs)
+                 | _ -> List.nth hist (pick mod List.length hist)
+               in
+               let g =
+                 or1 (indep_constraint pool c1) (indep_constraint pool c2)
+               in
+               !states.(i) <-
+                 (Indep.add bidx g, g :: bcs, (bidx, bcs) :: hist)
+           | _ -> !states.(i) <- (Indep.of_list cs, cs, hist));
+          Array.for_all agrees !states)
+        ops)
+
+(* Property: a path condition grown only by constraints the slice found
+   feasible (and by concretize pins taken from a slice model), as the
+   engine grows it, answers every query on its slice the way it answers
+   it in full: the same feasibility verdict, and a slice-concretized
+   value consistent with the whole path condition. *)
+let prop_slice_sound =
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 1 12) (pair (int_bound 3) gen_indep_clause))
+  in
+  QCheck.Test.make ~count:150 ~name:"slice queries = full queries"
+    (QCheck.make
+       ~print:QCheck.Print.(list (pair int (quad int int int int)))
+       gen)
+    (fun ops ->
+      let open Expr in
+      let pool = Array.init 4 (fun _ -> fresh_var W8) in
+      let idx = ref Indep.empty and pc = ref [] in
+      let add c =
+        idx := Indep.add !idx c;
+        pc := c :: !pc
+      in
+      List.for_all
+        (fun (kind, clause) ->
+          let concretized =
+            if kind <> 0 then true
+            else
+              let _, a, b, _ = clause in
+              let e =
+                binop Add
+                  (zext (var pool.(a mod 4)))
+                  (binop Mul (zext (var pool.(b mod 4))) (word 3))
+              in
+              match Solver.concretize (Indep.slice !idx e) e with
+              | None -> false
+              | Some v ->
+                  let pin = cmp Eq e (word v) in
+                  add pin;
+                  (match Solver.check !pc with
+                   | Solver.Sat _ -> true
+                   | Solver.Unsat | Solver.Unknown -> false)
+          in
+          let x = indep_constraint pool clause in
+          let sliced = Solver.is_feasible (x :: Indep.slice !idx x) in
+          let full = Solver.is_feasible (x :: !pc) in
+          if sliced then add x;
+          concretized && sliced = full)
+        ops)
+
 (* --- Qcache: canonicalizing counterexample cache ----------------------- *)
 
 let test_qcache_exact () =
@@ -1005,7 +1133,9 @@ let () =
       ("indep",
        [ Alcotest.test_case "partition" `Quick test_indep_partition;
          Alcotest.test_case "relevant slice" `Quick test_indep_relevant;
-         Alcotest.test_case "sliced equisatisfiable" `Quick test_indep_equisat ]);
+         Alcotest.test_case "sliced equisatisfiable" `Quick test_indep_equisat;
+         qtest prop_index_matches_reference;
+         qtest prop_slice_sound ]);
       ("qcache",
        [ Alcotest.test_case "exact hit" `Quick test_qcache_exact;
          Alcotest.test_case "subset unsat" `Quick test_qcache_subset_unsat;
